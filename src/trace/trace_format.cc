@@ -370,6 +370,14 @@ bool DecodeSlotRecord(const char* data, size_t size, TraceSlotRecord* record,
     c.GetF64(&p.budget);
     c.GetF64(&p.sensing_range);
     c.GetF64(&p.cell_size);
+    // Binding trusts its params (a NaN extent or a ~0 cell would overflow
+    // the grid's int sizing), so hostile ones stop here.
+    const std::string invalid = p.Validate();
+    if (!invalid.empty()) {
+      *error = "corrupt slot record: aggregate query " + std::to_string(p.id) +
+               ": " + invalid;
+      return false;
+    }
   }
   record->engine_choices.clear();
   if (version >= kTraceVersionAdaptive) {

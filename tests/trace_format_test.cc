@@ -4,15 +4,18 @@
 // on every platform, and any format change must bump kTraceVersion and
 // regenerate the fixture deliberately (see MakeGoldenData). The
 // corruption tests feed the decoder truncated, magic-less, version-
-// skewed, and count-overflowing inputs; every one must come back as a
-// clean error — no crash, no out-of-bounds read (the CI sanitizer jobs
-// run this file under ASan/UBSan).
+// skewed, count-overflowing and hostile-parameter inputs; every one must
+// come back as a clean error — no crash, no out-of-bounds read (the CI
+// sanitizer jobs run this file under ASan/UBSan).
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "trace/trace_format.h"
 #include "trace/trace_reader.h"
@@ -321,6 +324,70 @@ TEST_F(TraceCorruptionTest, HeaderOnlyTraceHasZeroSlots) {
   ASSERT_TRUE(ReadTraceFile(tmp, &data, &error)) << error;
   EXPECT_TRUE(data.slots.empty());
   std::remove(tmp.c_str());
+}
+
+TEST(TraceFormatStandaloneTest, HostileAggregateParamsRejected) {
+  // The writer encodes whatever it is given; the decoder must refuse
+  // aggregate params that binding cannot rasterize, before any query is
+  // constructed from them.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  AggregateQuery::Params ok;
+  ok.id = 7;
+  ok.region = Rect{0.0, 0.0, 50.0, 50.0};
+  ok.budget = 10.0;
+  ok.sensing_range = 10.0;
+  ok.cell_size = 5.0;
+  std::vector<std::pair<const char*, AggregateQuery::Params>> cases;
+  const auto add = [&](const char* what, auto mutate) {
+    AggregateQuery::Params p = ok;
+    mutate(p);
+    cases.emplace_back(what, p);
+  };
+  add("NaN coordinate", [&](auto& p) { p.region.x_min = nan; });
+  add("infinite coordinate", [&](auto& p) { p.region.y_max = inf; });
+  add("inverted x", [](auto& p) { p.region = Rect{50, 0, 0, 50}; });
+  add("inverted y", [](auto& p) { p.region = Rect{0, 50, 50, 0}; });
+  add("negative range", [](auto& p) { p.sensing_range = -1.0; });
+  add("NaN range", [&](auto& p) { p.sensing_range = nan; });
+  add("infinite range", [&](auto& p) { p.sensing_range = inf; });
+  add("zero cell", [](auto& p) { p.cell_size = 0.0; });
+  add("negative cell", [](auto& p) { p.cell_size = -2.0; });
+  add("cell ~ 0", [](auto& p) { p.cell_size = 1e-300; });
+  add("infinite cell", [&](auto& p) { p.cell_size = inf; });
+  add("grid over INT_MAX cells", [](auto& p) {
+    p.region = Rect{0, 0, 1e5, 1e5};
+    p.cell_size = 1.0;
+  });
+  for (const auto& [what, params] : cases) {
+    TraceSlotRecord record;
+    record.time = 1;
+    record.aggregate_queries.push_back(params);
+    std::string bytes;
+    EncodeSlotRecord(record, &bytes);
+    TraceSlotRecord decoded;
+    std::string error;
+    EXPECT_FALSE(DecodeSlotRecord(bytes.data(), bytes.size(), &decoded, &error))
+        << what;
+    EXPECT_NE(error.find("aggregate query 7"), std::string::npos)
+        << what << ": " << error;
+  }
+  // Valid params decode, including a zero-area region (one cell) and
+  // the largest square grid that fits an int.
+  AggregateQuery::Params point = ok;
+  point.region = Rect{3.0, 3.0, 3.0, 3.0};
+  AggregateQuery::Params largest = ok;
+  largest.region = Rect{0.0, 0.0, 46340.0, 46340.0};
+  largest.cell_size = 1.0;
+  TraceSlotRecord record;
+  record.aggregate_queries = {ok, point, largest};
+  std::string bytes;
+  EncodeSlotRecord(record, &bytes);
+  TraceSlotRecord decoded;
+  std::string error;
+  EXPECT_TRUE(DecodeSlotRecord(bytes.data(), bytes.size(), &decoded, &error))
+      << error;
+  EXPECT_EQ(decoded.aggregate_queries.size(), 3u);
 }
 
 TEST(TraceFormatStandaloneTest, MissingFileIsACleanError) {
