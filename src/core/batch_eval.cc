@@ -32,7 +32,6 @@ NetEvaluator::NetEvaluator(const std::vector<MultiQuery*>& queries,
       slot_(slot),
       cost_scale_(cost_scale),
       pool_(pool) {
-  const size_t n = slot.sensors.size();
   SlotArena* arena = slot.arena;
   cost_column_ = slot.SlabsSynced() ? slot.slabs.cost.data() : nullptr;
   offsets_.Acquire(arena, queries.size() + 1);
@@ -63,12 +62,16 @@ NetEvaluator::NetEvaluator(const std::vector<MultiQuery*>& queries,
     windows_.push_back(static_cast<int>(queries.size()));
   }
   pair_sensor_.Acquire(arena, static_cast<size_t>(max_window));
+  pair_row_.Acquire(arena, static_cast<size_t>(max_window));
   pair_delta_.Acquire(arena, static_cast<size_t>(max_window));
   counts_.Acquire(arena, queries.size());
   std::fill(counts_.begin(), counts_.end(), int64_t{0});
-  mark_.Acquire(arena, n);
+  // Row-indexed, so a sparse plan sizes these by its rows, not by the
+  // slot's population.
+  const size_t rows = plan_.ScanSensors().size();
+  mark_.Acquire(arena, rows);
   std::fill(mark_.begin(), mark_.end(), char{0});
-  positive_sum_.Acquire(arena, n);
+  positive_sum_.Acquire(arena, rows);
   std::fill(positive_sum_.begin(), positive_sum_.end(), 0.0);
 
   parallel_ = pool_ != nullptr && pool_->size() > 1;
@@ -95,11 +98,17 @@ void NetEvaluator::SweepQueries(int window_begin, int begin, int end) {
   const int64_t base = offsets_[static_cast<size_t>(window_begin)];
   for (int qi = begin; qi < end; ++qi) {
     const std::span<const int> candidates = plan_.SensorsOf(qi);
-    int* sensors = pair_sensor_.data() + (offsets_[static_cast<size_t>(qi)] - base);
-    double* deltas = pair_delta_.data() + (offsets_[static_cast<size_t>(qi)] - base);
+    const std::span<const int> rows = plan_.RowsOf(qi);
+    const int64_t slice = offsets_[static_cast<size_t>(qi)] - base;
+    int* sensors = pair_sensor_.data() + slice;
+    int* pair_rows = pair_row_.data() + slice;
+    double* deltas = pair_delta_.data() + slice;
     int64_t m = 0;
-    for (int s : candidates) {
-      if (mark_[static_cast<size_t>(s)]) sensors[m++] = s;
+    for (size_t j = 0; j < candidates.size(); ++j) {
+      if (mark_[static_cast<size_t>(rows[j])]) {
+        sensors[m] = candidates[j];
+        pair_rows[m++] = rows[j];
+      }
     }
     queries_[static_cast<size_t>(qi)]->MarginalValuesUncounted(
         std::span<const int>(sensors, static_cast<size_t>(m)),
@@ -110,7 +119,19 @@ void NetEvaluator::SweepQueries(int window_begin, int begin, int end) {
 
 void NetEvaluator::EvaluateNets(std::span<const int> sensors, double* net) {
   if (sensors.empty()) return;
-  for (int s : sensors) mark_[static_cast<size_t>(s)] = 1;
+  // Stage 0: mark each sensor's plan row. Sensors and plan rows both
+  // ascend, so one merge walk resolves them all. A sensor outside the
+  // plan keeps row -1: no query values it.
+  eval_rows_.resize(sensors.size());
+  const std::span<const int> plan_sensors = plan_.ScanSensors();
+  size_t row = 0;
+  for (size_t k = 0; k < sensors.size(); ++k) {
+    while (row < plan_sensors.size() && plan_sensors[row] < sensors[k]) ++row;
+    const bool in_plan =
+        row < plan_sensors.size() && plan_sensors[row] == sensors[k];
+    eval_rows_[k] = in_plan ? static_cast<int>(row) : -1;
+    if (in_plan) mark_[row] = 1;
+  }
 
   // Windows run sequentially in ascending query order; within a window,
   // stage 1 computes per-query batched deltas (each query's pairs land in
@@ -138,25 +159,31 @@ void NetEvaluator::EvaluateNets(std::span<const int> sensors, double* net) {
     }
     const int64_t base = offsets_[static_cast<size_t>(wbegin)];
     for (int qi = wbegin; qi < wend; ++qi) {
-      const int* sensors_q =
-          pair_sensor_.data() + (offsets_[static_cast<size_t>(qi)] - base);
+      const int* rows_q =
+          pair_row_.data() + (offsets_[static_cast<size_t>(qi)] - base);
       const double* deltas_q =
           pair_delta_.data() + (offsets_[static_cast<size_t>(qi)] - base);
       const int64_t m = counts_[static_cast<size_t>(qi)];
       for (int64_t j = 0; j < m; ++j) {
         if (deltas_q[j] > 0.0) {
-          positive_sum_[static_cast<size_t>(sensors_q[j])] += deltas_q[j];
+          positive_sum_[static_cast<size_t>(rows_q[j])] += deltas_q[j];
         }
       }
     }
   }
 
   // Stage 3: gather nets in eval-set order, resetting the touched state.
+  // A sensor outside the plan nets 0.0 - cost, as an untouched
+  // accumulator would.
   for (size_t k = 0; k < sensors.size(); ++k) {
-    const int s = sensors[k];
-    net[k] = positive_sum_[static_cast<size_t>(s)] - ScaledCost(s);
-    positive_sum_[static_cast<size_t>(s)] = 0.0;
-    mark_[static_cast<size_t>(s)] = 0;
+    const size_t row = static_cast<size_t>(eval_rows_[k]);
+    double positive_sum = 0.0;
+    if (eval_rows_[k] >= 0) {
+      positive_sum = positive_sum_[row];
+      positive_sum_[row] = 0.0;
+      mark_[row] = 0;
+    }
+    net[k] = positive_sum - ScaledCost(sensors[k]);
   }
 
   // Stage 4: batch-end accounting merge — one AddValuationCalls per query
@@ -171,7 +198,15 @@ void NetEvaluator::EvaluateNets(std::span<const int> sensors, double* net) {
 }
 
 double NetEvaluator::EvaluateNet(int sensor) {
-  const std::span<const int> interested = plan_.QueriesOf(sensor);
+  return SingleNet(sensor, plan_.QueriesOf(sensor));
+}
+
+double NetEvaluator::EvaluateRowNet(int row) {
+  return SingleNet(plan_.ScanSensors()[static_cast<size_t>(row)],
+                   plan_.QueriesOfRow(row));
+}
+
+double NetEvaluator::SingleNet(int sensor, std::span<const int> interested) {
   if (!parallel_ || interested.size() < kMinParallelQueries) {
     // Serial reference: counted scalar probes, ascending query order.
     double positive_sum = 0.0;

@@ -61,12 +61,17 @@ class NetEvaluator {
   /// and a pool is available, the per-query deltas are computed in
   /// parallel and reduced sequentially in ascending query order.
   double EvaluateNet(int sensor);
+  /// EvaluateNet for plan row `row` (sensor plan.ScanSensors()[row]),
+  /// skipping the sensor -> row search — for callers that keep rows.
+  double EvaluateRowNet(int row);
 
   /// True when EvaluateNets/EvaluateNet shard work across the pool.
   bool parallel() const { return parallel_; }
 
  private:
   double ScaledCost(int sensor) const;
+  /// Net gain of `sensor` over its interested queries `interested`.
+  double SingleNet(int sensor, std::span<const int> interested);
   /// Stage 1 kernel: evaluates queries [begin, end) of the window starting
   /// at `window_begin` against the current eval set, writing (sensor,
   /// delta) pairs into each query's slice and the per-query pair count
@@ -102,12 +107,17 @@ class NetEvaluator {
   /// buffer fill.
   std::vector<int> windows_;
   ArenaBuffer<int> pair_sensor_;
+  /// Plan row of each pair's sensor (the stage-2 scatter target).
+  ArenaBuffer<int> pair_row_;
   ArenaBuffer<double> pair_delta_;
   ArenaBuffer<int64_t> counts_;
-  /// Eval-set membership (by sensor id) for the current EvaluateNets call.
+  /// Eval-set membership (by plan row) for the current EvaluateNets call.
   ArenaBuffer<char> mark_;
-  /// Per-sensor positive-marginal accumulator (zeroed between rounds).
+  /// Per-row positive-marginal accumulator (zeroed between rounds).
   ArenaBuffer<double> positive_sum_;
+  /// Plan row of each sensor of the current EvaluateNets call (-1 =
+  /// outside the plan); sized by the eval set, so an owned vector.
+  std::vector<int> eval_rows_;
   /// Scratch for EvaluateNet's sharded single-sensor path (lazily grown
   /// per call, so it stays an owned vector).
   std::vector<double> single_deltas_;

@@ -1,6 +1,7 @@
 #ifndef PSENS_CORE_CANDIDATE_PRUNING_H_
 #define PSENS_CORE_CANDIDATE_PRUNING_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -20,7 +21,7 @@ namespace psens {
 /// every possible selection state), so a sensor with no interested query
 /// has net gain <= -cost and can never be picked by Algorithm 1's
 /// positive-net rule. Scanning `sensors` (ascending) instead of all slot
-/// sensors, and summing marginals over `queries_of_sensor[s]` (ascending
+/// sensors, and summing marginals over `QueriesOf(s)` (ascending
 /// query order) instead of all queries, therefore reproduces the dense
 /// scan's selections, payments, and tie-breaks bit for bit.
 struct CandidatePlan {
@@ -28,22 +29,28 @@ struct CandidatePlan {
   /// reference dense loops (identical behaviour *and* identical
   /// valuation-call counts to the pre-index code).
   bool active = false;
-  /// Sensors (ascending) with at least one interested query.
+  /// True when plan row r is sensor r: no query exposed a candidate list,
+  /// or some query is dense (attached to every sensor). Otherwise the plan
+  /// is sparse and holds only the sensors some query lists.
+  bool dense_rows = true;
+  /// Sensors (ascending) with at least one interested query; row r of the
+  /// plan is sensors[r]. Dense plans hold every sensor 0..n-1.
   ArenaBuffer<int> sensors;
-  /// CSR inverted index: sensor s's interested queries, ascending by
-  /// query position, are qs_data[qs_offsets[s] .. qs_offsets[s+1]). One
-  /// flat slab (arena-backed when the slot carries an arena) replaces the
-  /// former vector-of-vectors — O(1) allocations per plan instead of one
-  /// per sensor, and each sensor's query run is a contiguous read.
+  /// CSR inverted index by plan row: row r's interested queries, ascending
+  /// by query position, are qs_data[qs_offsets[r] .. qs_offsets[r+1]).
+  /// One flat slab (arena-backed when the slot carries an arena); a
+  /// sparse plan sizes it by (sensor, query) pairs, never by population.
   ArenaBuffer<int64_t> qs_offsets;
   ArenaBuffer<int> qs_data;
-  /// Dense fallbacks (0..n-1 / 0..Q-1), filled only when !active or some
-  /// query is dense.
-  ArenaBuffer<int> all_sensors;
+  /// Every query 0..Q-1, filled only when !active.
   ArenaBuffer<int> all_queries;
+  /// Sparse plans only: query q's plan rows, parallel to SensorsOf(q), are
+  /// query_rows[query_row_offsets[q] .. query_row_offsets[q+1]).
+  ArenaBuffer<int64_t> query_row_offsets;
+  ArenaBuffer<int> query_rows;
 
   /// Per query: where its candidate sensor list (ascending) lives — the
-  /// query-major mirror of queries_of_sensor, used by the batched round
+  /// query-major mirror of the inverted index, used by the batched round
   /// evaluator (core/batch_eval.h) to sweep each query's sensors in one
   /// MarginalValues call. `external` points into the query object's own
   /// CandidateSensors() storage (stable during a selection run and across
@@ -57,18 +64,35 @@ struct CandidatePlan {
   /// Backing storage for sanitized query_candidates entries.
   std::vector<std::vector<int>> sanitized;
 
-  /// Sensors an engine must scan, resolving the dense fallback.
+  /// Sensors an engine must scan (every sensor for dense plans).
   std::span<const int> ScanSensors() const {
-    const ArenaBuffer<int>& s = active ? sensors : all_sensors;
-    return {s.data(), s.size()};
+    return {sensors.data(), sensors.size()};
   }
-  /// Queries that may value `sensor`, resolving the dense fallback.
-  std::span<const int> QueriesOf(int sensor) const {
+  /// Plan row of `sensor`, or -1 when the sensor is outside the plan (no
+  /// query values it). Binary search over `sensors` for sparse plans.
+  int RowOf(int sensor) const {
+    const int rows = static_cast<int>(sensors.size());
+    if (dense_rows) return sensor >= 0 && sensor < rows ? sensor : -1;
+    const int* end = sensors.data() + rows;
+    const int* it = std::lower_bound(sensors.data(), end, sensor);
+    return it != end && *it == sensor ? static_cast<int>(it - sensors.data())
+                                      : -1;
+  }
+  /// Queries that may value plan row `row` (sensor ScanSensors()[row]),
+  /// ascending, resolving the dense fallback.
+  std::span<const int> QueriesOfRow(int row) const {
     if (!active) return {all_queries.data(), all_queries.size()};
-    const size_t b = static_cast<size_t>(qs_offsets[static_cast<size_t>(sensor)]);
+    const size_t b = static_cast<size_t>(qs_offsets[static_cast<size_t>(row)]);
     const size_t e =
-        static_cast<size_t>(qs_offsets[static_cast<size_t>(sensor) + 1]);
+        static_cast<size_t>(qs_offsets[static_cast<size_t>(row) + 1]);
     return {qs_data.data() + b, e - b};
+  }
+  /// Queries that may value `sensor`, resolving the dense fallback; empty
+  /// for a sensor outside the plan.
+  std::span<const int> QueriesOf(int sensor) const {
+    const int row = RowOf(sensor);
+    if (row < 0) return {};
+    return QueriesOfRow(row);
   }
   /// Sensors query `query` may value (ascending), resolving the dense
   /// fallback. Scanning these per query and summing into per-sensor
@@ -82,7 +106,16 @@ struct CandidatePlan {
       const std::vector<int>& s = sanitized[static_cast<size_t>(ref.sanitized_index)];
       return {s.data(), s.size()};
     }
-    return {all_sensors.data(), all_sensors.size()};
+    return ScanSensors();
+  }
+  /// Plan rows of SensorsOf(query), element for element.
+  std::span<const int> RowsOf(int query) const {
+    if (dense_rows) return SensorsOf(query);
+    const size_t b =
+        static_cast<size_t>(query_row_offsets[static_cast<size_t>(query)]);
+    const size_t e =
+        static_cast<size_t>(query_row_offsets[static_cast<size_t>(query) + 1]);
+    return {query_rows.data() + b, e - b};
   }
 };
 
@@ -90,15 +123,20 @@ struct CandidatePlan {
 /// SlotContext::arena, may be null) backs the plan's flat index storage;
 /// the plan must then not outlive the arena's next Reset — engines build
 /// it per selection inside one slot, which satisfies this by construction.
+/// When every query exposes a candidate list the plan is built from the
+/// (sensor, query) pairs alone — a stable radix sort by sensor, so the
+/// cost is O(pairs) with no pass over the population; a dense query
+/// attaches to every sensor and takes the O(n) dense path.
 CandidatePlan BuildCandidatePlan(const std::vector<MultiQuery*>& queries,
                                  int num_sensors,
                                  SlotArena* arena = nullptr);
 
 /// Debug cross-check of the pruning contract for one committed sensor:
 /// asserts that every query *not* in the plan's list for `sensor` indeed
-/// reports a non-positive marginal value. Compiled to a no-op in NDEBUG
-/// builds (the extra MarginalValue probes would otherwise distort the
-/// valuation-call diagnostics and the asymptotics pruning exists to fix).
+/// reports a non-positive marginal value. The probes are uncounted, so
+/// Debug and Release builds report the same valuation calls. Compiled to a
+/// no-op in NDEBUG builds (the extra probes would undo the asymptotics
+/// pruning exists to fix).
 void CheckPrunedMarginals(const std::vector<MultiQuery*>& queries,
                           const CandidatePlan& plan, int sensor);
 

@@ -11,19 +11,21 @@
 namespace psens {
 namespace {
 
-/// Heap entry: a candidate sensor with its net gain as cached at `round`.
+/// Heap entry: a candidate's plan row (core/candidate_pruning.h; rows
+/// ascend with sensor index) with its net gain as cached at `round`.
 struct Candidate {
   double net = 0.0;
   int round = 0;
-  int sensor = 0;
+  int row = 0;
 };
 
-/// Max-heap order on net gain; ties prefer the lower sensor index so that
-/// the lazy run breaks ties exactly like the eager ascending scan.
+/// Max-heap order on net gain; ties prefer the lower row, i.e. the lower
+/// sensor index, so that the lazy run breaks ties exactly like the eager
+/// ascending scan.
 struct CandidateLess {
   bool operator()(const Candidate& a, const Candidate& b) const {
     if (a.net != b.net) return a.net < b.net;
-    return a.sensor > b.sensor;
+    return a.row > b.row;
   }
 };
 
@@ -52,8 +54,8 @@ SelectionResult LazyGreedySensorSelection(const std::vector<MultiQuery*>& querie
   // heap — they may not be selected here, though their valuations and
   // payments are untouched.
   std::priority_queue<Candidate, std::vector<Candidate>, CandidateLess> heap;
+  const std::span<const int> scan = plan.ScanSensors();
   {
-    const std::span<const int> scan = plan.ScanSensors();
     ArenaBuffer<double> net;
     net.Acquire(slot.arena, scan.size());
     evaluator.EvaluateNets(scan, net.data());
@@ -62,7 +64,7 @@ SelectionResult LazyGreedySensorSelection(const std::vector<MultiQuery*>& querie
           !(*slot.eligible)[static_cast<size_t>(scan[k])]) {
         continue;
       }
-      heap.push(Candidate{net[k], 0, scan[k]});
+      heap.push(Candidate{net[k], 0, static_cast<int>(k)});
     }
   }
 
@@ -75,18 +77,19 @@ SelectionResult LazyGreedySensorSelection(const std::vector<MultiQuery*>& querie
       // reinsert; only the heap front ever pays this cost. The evaluator
       // shards the per-query delta batch over the pool when the sensor
       // interests enough queries (bit-identical either way).
-      top.net = evaluator.EvaluateNet(top.sensor);
+      top.net = evaluator.EvaluateRowNet(top.row);
       top.round = round;
       heap.push(top);
       continue;
     }
     if (top.net <= 0.0) break;  // fresh maximum without positive net gain
-    CheckPrunedMarginals(queries, plan, top.sensor);
+    const int sensor = scan[static_cast<size_t>(top.row)];
+    CheckPrunedMarginals(queries, plan, sensor);
 
     // Commit exactly like the eager loop (Algorithm 1 line 10).
     result.total_cost +=
-        CommitWithProportionalPayments(queries, plan, slot, top.sensor);
-    result.selected_sensors.push_back(top.sensor);
+        CommitWithProportionalPayments(queries, plan, slot, sensor);
+    result.selected_sensors.push_back(sensor);
     ++round;
   }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/radix_sort.h"
 #include "core/stochastic_greedy.h"
 #include "engine/membership_merge.h"
 #include "trace/trace_writer.h"
@@ -145,6 +146,13 @@ void AcquisitionEngine::MarkChanged(int id, bool cost_dirty) {
   }
 }
 
+void AcquisitionEngine::SortChanged() {
+  changed_scratch_.resize(changed_.size());
+  RadixSortByKey(changed_.data(), changed_scratch_.data(), changed_.size(),
+                 static_cast<uint32_t>(sensors_.size()),
+                 [](int id) { return static_cast<uint32_t>(id); });
+}
+
 void AcquisitionEngine::ApplyTrace(const Trace& trace, int slot) {
   const int n = static_cast<int>(sensors_.size());
   const int tn = trace.NumSensors();
@@ -265,7 +273,8 @@ void AcquisitionEngine::RebuildMembership(SlotBuffer& b, int time) {
       &b.ctx.slabs, &slab_scratch_,
       [&](SlotSlabs& out, size_t row, const SlotSensor& ss, int id) {
         out.SetRowFrom(row, ss, sensors_[static_cast<size_t>(id)]);
-      });
+      },
+      pool_.get());
   pending_insert_.clear();
   pending_remove_.clear();
 }
@@ -360,7 +369,7 @@ const SlotContext& AcquisitionEngine::BeginSlot(int time) {
   // Ascending id order turns the refresh loop's registry, context, and
   // slot_pos accesses into forward sweeps (and hands RebuildMembership
   // pre-sorted pending lists).
-  std::sort(changed_.begin(), changed_.end());
+  SortChanged();
   for (int id : changed_) {
     RefreshMember(b, id, time);
     changed_flag_[id] = 0;
@@ -507,7 +516,7 @@ void AcquisitionEngine::EarlyRepairStaged(int time) {
     }
   }
   privacy_refresh_.resize(keep);
-  std::sort(changed_.begin(), changed_.end());
+  SortChanged();
   for (int id : changed_) {
     StageRefreshMember(id);
     changed_flag_[id] = 0;

@@ -253,6 +253,9 @@ class AcquisitionEngine : public ServingEngine {
 
   void Init();
   void MarkChanged(int id, bool cost_dirty);
+  /// Sorts changed_ ascending by sensor id (radix sort; same order as
+  /// std::sort over the distinct ids).
+  void SortChanged();
   void NoteReading(int id, int time);
   void ApplyDeltaToRegistry(const SensorDelta& delta);
   void RefreshMember(SlotBuffer& b, int id, int time);
@@ -283,6 +286,8 @@ class AcquisitionEngine : public ServingEngine {
   /// Sensors touched since the last BeginSlot (dedup by flag).
   std::vector<int> changed_;
   std::vector<char> changed_flag_;
+  /// SortChanged's radix scratch, capacity kept across slots.
+  std::vector<int> changed_scratch_;
   /// Subset of changed_ whose announced cost must be recomputed.
   std::vector<char> cost_dirty_;
   /// Sensors whose privacy cost decays with wall-clock time (privacy

@@ -1,9 +1,11 @@
 #ifndef PSENS_ENGINE_MEMBERSHIP_MERGE_H_
 #define PSENS_ENGINE_MEMBERSHIP_MERGE_H_
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "core/slot.h"
 
 namespace psens {
@@ -14,8 +16,8 @@ namespace psens {
 /// slot_pos (4 bytes/step, sequential) almost always hits on the first
 /// probe — and unlike a binary search of the member array, it stays
 /// valid mid-merge: entries for ids above the one being inserted are
-/// untouched old positions (the in-place merge only rewrites entries at
-/// or below the current event id).
+/// untouched old positions (the event walk only rewrites entries at or
+/// below the current event id, and the run copy runs after the walk).
 inline size_t MemberInsertPosition(const std::vector<int>& slot_pos, int id,
                                    size_t old_size) {
   // Cold build (slot 0): nothing is live yet, and without this early-out
@@ -29,77 +31,62 @@ inline size_t MemberInsertPosition(const std::vector<int>& slot_pos, int id,
   return old_size;
 }
 
-/// Applies a sorted batch of membership events to a member array sorted
-/// ascending by sensor id — the one merge implementation behind both the
-/// single engine's slot turnover (AcquisitionEngine::RebuildMembership)
-/// and the ShardRouter's cross-shard reconciliation, so the two paths
-/// cannot drift.
-///
-/// Segment merge into a scratch buffer whose capacity persists across
-/// slots. With k churn events over n members the array has at most k+1
-/// unchanged runs; each run moves with one memcpy (SlotSensor is
-/// trivially copyable) followed by a fused fixup of the shifted .index
-/// fields and slot_pos entries while the run is still cache-hot. The
-/// O(n) byte traffic is unavoidable (every element after the first event
-/// shifts), but at streaming bandwidth it undercuts both a per-element
-/// branch-and-push_back loop and an in-place read-modify-write pass.
-///
-/// When `slabs`/`slab_scratch` are non-null, the SoA columns
-/// (core/slot.h SlotSlabs) ride the same merge: every copy_run memcpys
-/// the identical row range of each column, so the slabs stay in lockstep
-/// with `members` at no extra bookkeeping, and `slab_fill(out, row, ss,
-/// id)` is invoked (after `fill`, with `ss` the freshly filled entry and
-/// `out` the merge-target slabs) to populate a freshly inserted row —
-/// typically out.SetRowFrom(row, ss, registry[id]). Pass nulls for the
-/// legacy slab-free merge.
-///
-/// `inserts` and `removes` must be sorted ascending and disjoint;
-/// `slot_pos` maps sensor id -> position in `members` (-1 = non-member)
-/// and is kept consistent. `fill(ss, id)` populates a freshly inserted
-/// entry's payload (location/cost/inaccuracy/trust); .index and
-/// .sensor_id are set by the merge. fill is invoked in ascending id
-/// order. `members`/`scratch` (and the slab pairs) are swapped on return.
+namespace merge_detail {
+
+/// Unchanged old rows [src, src + len) land at [dst, dst + len);
+/// `rows_before` is the total length of the runs ahead of this one.
+struct CopyRun {
+  size_t src;
+  size_t dst;
+  size_t len;
+  size_t rows_before;
+};
+
+/// Copies below this many rows stay on the calling thread: the pool's
+/// wake/wait handshake would cost more than the copy saves. Purely a
+/// performance constant — the result is bit-identical either way.
+constexpr size_t kMinParallelCopyRows = size_t{1} << 15;
+
+/// The SlotSlabs columns, each copied alongside the AoS rows.
+inline constexpr std::vector<double> SlotSlabs::*kSlabColumns[] = {
+    &SlotSlabs::x,          &SlotSlabs::y,     &SlotSlabs::cost,
+    &SlotSlabs::inaccuracy, &SlotSlabs::trust, &SlotSlabs::privacy_mult,
+    &SlotSlabs::energy};
+
+/// The one merge kernel behind MergeSortedMembership and
+/// MergeSortedMembershipInto. Phase 1 walks the sorted events serially in
+/// ascending id order — O(k) for k events: it places inserts (calling
+/// `fill` then `slab_fill`), retires removals, and records the unchanged
+/// runs between events. Phase 2 copies those runs — the O(n) part — as
+/// contiguous row chunks spread over `pool`: each chunk memcpys its AoS rows
+/// and the 7 slab columns, then shifts .index and rewrites slot_pos for
+/// its rows while they are cache-hot. Every row and slot_pos entry is
+/// written by exactly one chunk, so any pool size gives the same bytes.
+/// `rewrite_unshifted` also rewrites slot_pos for runs that did not move
+/// (needed when `dst_slot_pos` starts out reset). `src_slot_pos` may
+/// alias `dst_slot_pos`: the walk reads only entries above the current
+/// event id, which it has not written yet.
 template <typename FillFn, typename SlabFillFn>
-void MergeSortedMembership(std::vector<SlotSensor>* members,
-                           std::vector<SlotSensor>* scratch,
-                           std::vector<int>* slot_pos,
-                           const std::vector<int>& inserts,
-                           const std::vector<int>& removes, FillFn&& fill,
-                           SlotSlabs* slabs, SlotSlabs* slab_scratch,
-                           SlabFillFn&& slab_fill) {
-  const size_t old_size = members->size();
-  scratch->resize(old_size + inserts.size());
-  const bool merge_slabs = slabs != nullptr && slab_scratch != nullptr;
-  if (merge_slabs) slab_scratch->Resize(old_size + inserts.size());
-  const SlotSensor* src = members->data();
-  SlotSensor* dst = scratch->data();
-  size_t si = 0;  // source cursor (old array)
-  size_t di = 0;  // destination cursor
-  const auto copy_column = [](std::vector<double>& to,
-                              const std::vector<double>& from, size_t di_,
-                              size_t si_, size_t len) {
-    std::memcpy(to.data() + di_, from.data() + si_, len * sizeof(double));
-  };
-  const auto copy_run = [&](size_t src_end) {
+void MergeMembership(const std::vector<SlotSensor>& src,
+                     const SlotSlabs& src_slabs,
+                     const std::vector<int>& src_slot_pos,
+                     std::vector<SlotSensor>* dst, SlotSlabs* dst_slabs,
+                     std::vector<int>* dst_slot_pos, bool rewrite_unshifted,
+                     const std::vector<int>& inserts,
+                     const std::vector<int>& removes, FillFn&& fill,
+                     SlabFillFn&& slab_fill, ThreadPool* pool) {
+  const size_t old_size = src.size();
+  dst->resize(old_size + inserts.size());
+  dst_slabs->Resize(old_size + inserts.size());
+  std::vector<CopyRun> runs;
+  runs.reserve(inserts.size() + removes.size() + 1);
+  size_t si = 0;      // source cursor (old array)
+  size_t di = 0;      // destination cursor
+  size_t copied = 0;  // rows in `runs` so far
+  const auto end_run = [&](size_t src_end) {
     const size_t len = src_end - si;
-    if (len == 0) return;
-    std::memcpy(dst + di, src + si, len * sizeof(SlotSensor));
-    if (merge_slabs) {
-      copy_column(slab_scratch->x, slabs->x, di, si, len);
-      copy_column(slab_scratch->y, slabs->y, di, si, len);
-      copy_column(slab_scratch->cost, slabs->cost, di, si, len);
-      copy_column(slab_scratch->inaccuracy, slabs->inaccuracy, di, si, len);
-      copy_column(slab_scratch->trust, slabs->trust, di, si, len);
-      copy_column(slab_scratch->privacy_mult, slabs->privacy_mult, di, si, len);
-      copy_column(slab_scratch->energy, slabs->energy, di, si, len);
-    }
-    if (di != si) {
-      const int shift = static_cast<int>(di) - static_cast<int>(si);
-      for (size_t k = di; k < di + len; ++k) {
-        dst[k].index += shift;
-        (*slot_pos)[dst[k].sensor_id] = static_cast<int>(k);
-      }
-    }
+    if (len > 0) runs.push_back(CopyRun{si, di, len, copied});
+    copied += len;
     si = src_end;
     di += len;
   };
@@ -114,27 +101,103 @@ void MergeSortedMembership(std::vector<SlotSensor>* members,
         (ii < inserts.size() && inserts[ii] < removes[ri]);
     if (take_insert) {
       const int id = inserts[ii++];
-      copy_run(MemberInsertPosition(*slot_pos, id, old_size));
-      SlotSensor& ss = dst[di];
+      end_run(MemberInsertPosition(src_slot_pos, id, old_size));
+      SlotSensor& ss = (*dst)[di];
       ss.index = static_cast<int>(di);
       ss.sensor_id = id;
       fill(ss, id);
-      if (merge_slabs) slab_fill(*slab_scratch, di, ss, id);
-      (*slot_pos)[id] = static_cast<int>(di);
+      slab_fill(*dst_slabs, di, ss, id);
+      (*dst_slot_pos)[id] = static_cast<int>(di);
       ++di;
     } else {
       const int id = removes[ri++];
-      copy_run(static_cast<size_t>((*slot_pos)[id]));
-      (*slot_pos)[id] = -1;
+      end_run(static_cast<size_t>(src_slot_pos[id]));
+      (*dst_slot_pos)[id] = -1;
       ++si;  // skip the removed element
     }
   }
-  copy_run(old_size);
-  scratch->resize(di);
-  if (merge_slabs) {
-    slab_scratch->Resize(di);
-    std::swap(*slabs, *slab_scratch);
+  end_run(old_size);
+
+  // Copies rows [begin, end) of the concatenated run sequence.
+  const auto copy_rows = [&](size_t begin, size_t end) {
+    size_t r = static_cast<size_t>(
+        std::upper_bound(runs.begin(), runs.end(), begin,
+                         [](size_t row, const CopyRun& run) {
+                           return row < run.rows_before;
+                         }) -
+        runs.begin() - 1);
+    for (; r < runs.size() && runs[r].rows_before < end; ++r) {
+      const CopyRun& run = runs[r];
+      const size_t lo = std::max(begin, run.rows_before) - run.rows_before;
+      const size_t hi =
+          std::min(end, run.rows_before + run.len) - run.rows_before;
+      const size_t s = run.src + lo;
+      const size_t d = run.dst + lo;
+      const size_t len = hi - lo;
+      std::memcpy(dst->data() + d, src.data() + s, len * sizeof(SlotSensor));
+      for (std::vector<double> SlotSlabs::*col : kSlabColumns) {
+        std::memcpy((dst_slabs->*col).data() + d, (src_slabs.*col).data() + s,
+                    len * sizeof(double));
+      }
+      const int shift = static_cast<int>(run.dst) - static_cast<int>(run.src);
+      if (shift == 0 && !rewrite_unshifted) continue;
+      for (size_t k = d; k < d + len; ++k) {
+        SlotSensor& ss = (*dst)[k];
+        ss.index += shift;
+        (*dst_slot_pos)[ss.sensor_id] = static_cast<int>(k);
+      }
+    }
+  };
+  if (pool != nullptr && pool->size() > 1 && copied >= kMinParallelCopyRows) {
+    // A few chunks per worker: workers claim them dynamically, so one
+    // preempted worker delays the copy by a chunk, not by a quarter of it.
+    const int chunks = pool->size() * 4;
+    pool->ParallelFor(chunks, [&](int c) {
+      copy_rows(copied * static_cast<size_t>(c) / chunks,
+                copied * static_cast<size_t>(c + 1) / chunks);
+    });
+  } else {
+    copy_rows(0, copied);
   }
+  dst->resize(di);
+  dst_slabs->Resize(di);
+}
+
+}  // namespace merge_detail
+
+/// Applies a sorted batch of membership events to a member array sorted
+/// ascending by sensor id — the one merge implementation behind both the
+/// single engine's slot turnover (AcquisitionEngine::RebuildMembership)
+/// and the ShardRouter's cross-shard reconciliation, so the two paths
+/// cannot drift.
+///
+/// Segment merge into a scratch buffer whose capacity persists across
+/// slots: a serial O(k) walk over the k events records the at most k+1
+/// unchanged runs, and the O(n) run copy (the SoA slab columns ride the
+/// same row ranges) is split over `pool` when one is given and the merge
+/// is large enough. Any pool, or none, yields the same bytes.
+///
+/// `inserts` and `removes` must be sorted ascending and disjoint;
+/// `slot_pos` maps sensor id -> position in `members` (-1 = non-member)
+/// and is kept consistent. `fill(ss, id)` populates a freshly inserted
+/// entry's payload (location/cost/inaccuracy/trust); .index and
+/// .sensor_id are set by the merge. `slab_fill(out, row, ss, id)` then
+/// populates the inserted slab row — typically out.SetRowFrom(row, ss,
+/// registry[id]). Both run on the calling thread, in ascending id order.
+/// `members`/`scratch` and the slab pairs are swapped on return.
+template <typename FillFn, typename SlabFillFn>
+void MergeSortedMembership(std::vector<SlotSensor>* members,
+                           std::vector<SlotSensor>* scratch,
+                           std::vector<int>* slot_pos,
+                           const std::vector<int>& inserts,
+                           const std::vector<int>& removes, FillFn&& fill,
+                           SlotSlabs* slabs, SlotSlabs* slab_scratch,
+                           SlabFillFn&& slab_fill, ThreadPool* pool = nullptr) {
+  merge_detail::MergeMembership(*members, *slabs, *slot_pos, scratch,
+                                slab_scratch, slot_pos,
+                                /*rewrite_unshifted=*/false, inserts, removes,
+                                fill, slab_fill, pool);
+  std::swap(*slabs, *slab_scratch);
   std::swap(*members, *scratch);
 }
 
@@ -146,9 +209,8 @@ void MergeSortedMembership(std::vector<SlotSensor>* members,
 /// (the *back* buffer). `dst_slot_pos` is reset to -1 and repopulated for
 /// every surviving member — the back buffer's map is two slots stale, so
 /// entries for ids removed in earlier slots cannot be trusted and an
-/// incremental fixup would leave them dangling. The event walk, fill
-/// order, and insert-position rule are byte-for-byte the in-place
-/// merge's, so front-to-back and in-place produce identical member
+/// incremental fixup would leave them dangling. Both variants run the
+/// same kernel, so front-to-back and in-place produce identical member
 /// arrays.
 template <typename FillFn, typename SlabFillFn>
 void MergeSortedMembershipInto(const std::vector<SlotSensor>& src,
@@ -159,77 +221,12 @@ void MergeSortedMembershipInto(const std::vector<SlotSensor>& src,
                                std::vector<int>* dst_slot_pos,
                                const std::vector<int>& inserts,
                                const std::vector<int>& removes, FillFn&& fill,
-                               SlabFillFn&& slab_fill) {
-  const size_t old_size = src.size();
-  dst->resize(old_size + inserts.size());
-  dst_slabs->Resize(old_size + inserts.size());
+                               SlabFillFn&& slab_fill,
+                               ThreadPool* pool = nullptr) {
   dst_slot_pos->assign(src_slot_pos.size(), -1);
-  const SlotSensor* sp = src.data();
-  SlotSensor* dp = dst->data();
-  size_t si = 0;
-  size_t di = 0;
-  const auto copy_column = [](std::vector<double>& to,
-                              const std::vector<double>& from, size_t di_,
-                              size_t si_, size_t len) {
-    std::memcpy(to.data() + di_, from.data() + si_, len * sizeof(double));
-  };
-  const auto copy_run = [&](size_t src_end) {
-    const size_t len = src_end - si;
-    if (len == 0) return;
-    std::memcpy(dp + di, sp + si, len * sizeof(SlotSensor));
-    copy_column(dst_slabs->x, src_slabs.x, di, si, len);
-    copy_column(dst_slabs->y, src_slabs.y, di, si, len);
-    copy_column(dst_slabs->cost, src_slabs.cost, di, si, len);
-    copy_column(dst_slabs->inaccuracy, src_slabs.inaccuracy, di, si, len);
-    copy_column(dst_slabs->trust, src_slabs.trust, di, si, len);
-    copy_column(dst_slabs->privacy_mult, src_slabs.privacy_mult, di, si, len);
-    copy_column(dst_slabs->energy, src_slabs.energy, di, si, len);
-    const int shift = static_cast<int>(di) - static_cast<int>(si);
-    for (size_t k = di; k < di + len; ++k) {
-      if (shift != 0) dp[k].index += shift;
-      (*dst_slot_pos)[dp[k].sensor_id] = static_cast<int>(k);
-    }
-    si = src_end;
-    di += len;
-  };
-  size_t ii = 0;
-  size_t ri = 0;
-  while (ii < inserts.size() || ri < removes.size()) {
-    const bool take_insert =
-        ri >= removes.size() ||
-        (ii < inserts.size() && inserts[ii] < removes[ri]);
-    if (take_insert) {
-      const int id = inserts[ii++];
-      copy_run(MemberInsertPosition(src_slot_pos, id, old_size));
-      SlotSensor& ss = dp[di];
-      ss.index = static_cast<int>(di);
-      ss.sensor_id = id;
-      fill(ss, id);
-      slab_fill(*dst_slabs, di, ss, id);
-      (*dst_slot_pos)[id] = static_cast<int>(di);
-      ++di;
-    } else {
-      const int id = removes[ri++];
-      copy_run(static_cast<size_t>(src_slot_pos[id]));
-      ++si;  // skip the removed element; dst_slot_pos already holds -1
-    }
-  }
-  copy_run(old_size);
-  dst->resize(di);
-  dst_slabs->Resize(di);
-}
-
-/// Legacy slab-free merge (kept for callers whose contexts do not carry
-/// the SoA columns).
-template <typename FillFn>
-void MergeSortedMembership(std::vector<SlotSensor>* members,
-                           std::vector<SlotSensor>* scratch,
-                           std::vector<int>* slot_pos,
-                           const std::vector<int>& inserts,
-                           const std::vector<int>& removes, FillFn&& fill) {
-  MergeSortedMembership(members, scratch, slot_pos, inserts, removes,
-                        static_cast<FillFn&&>(fill), nullptr, nullptr,
-                        [](SlotSlabs&, size_t, const SlotSensor&, int) {});
+  merge_detail::MergeMembership(src, src_slabs, src_slot_pos, dst, dst_slabs,
+                                dst_slot_pos, /*rewrite_unshifted=*/true,
+                                inserts, removes, fill, slab_fill, pool);
 }
 
 }  // namespace psens

@@ -23,15 +23,10 @@
 namespace psens {
 namespace {
 
-// Builds without NDEBUG arm the candidate-pruning cross-check
-// (core/candidate_pruning.cc), whose probes count as valuation calls, so
-// they pin their own digest. Selections, values, costs and payments are
-// the same in both.
-#ifdef NDEBUG
+// One digest for every build flavour: the candidate-pruning cross-check
+// that Debug builds arm (core/candidate_pruning.cc) probes without
+// counting, so valuation calls agree with Release.
 constexpr uint64_t kPinnedDigest = 0x97207d3ee90e359fULL;
-#else
-constexpr uint64_t kPinnedDigest = 0xbbf7f346a93fc182ULL;
-#endif
 
 /// FNV-1a over the deterministic fields of the outcomes, in the field
 /// order of perfbench's outcome digest.

@@ -1,0 +1,254 @@
+// The sorted membership merge (engine/membership_merge.h) against a naive
+// rebuild: the serial merge, the pool-parallel run copy at several pool
+// sizes, and the cross-buffer variant must all produce the same members,
+// .index fields, slot_pos map and slab columns, bit for bit.
+
+#include <gtest/gtest.h>
+
+#include <cstring>
+#include <memory>
+#include <vector>
+
+#include "common/rng.h"
+#include "common/thread_pool.h"
+#include "core/slot.h"
+#include "engine/membership_merge.h"
+
+namespace psens {
+namespace {
+
+/// Large enough that a merge copying most of the registry takes the
+/// pooled path.
+constexpr int kRegistry = 4 * static_cast<int>(merge_detail::kMinParallelCopyRows);
+
+/// One member array with its slot_pos map and slabs, plus merge scratch.
+struct Membership {
+  std::vector<SlotSensor> members;
+  std::vector<SlotSensor> scratch;
+  std::vector<int> slot_pos = std::vector<int>(kRegistry, -1);
+  SlotSlabs slabs;
+  SlotSlabs slab_scratch;
+};
+
+/// A batch of sorted, disjoint membership events stamped with the
+/// generation that fills the inserted payloads (set by Script).
+struct Batch {
+  std::vector<int> inserts;
+  std::vector<int> removes;
+  int generation = 0;
+};
+
+/// Payload of `id` inserted at `generation`: every field distinct, so a
+/// misplaced row cannot compare equal.
+void FillPayload(SlotSensor& ss, int id, int generation) {
+  ss.location = Point{id * 0.5, generation * 0.25};
+  ss.cost = id + generation * 1e-3;
+  ss.inaccuracy = id * 1e-6;
+  ss.trust = 1.0 - generation * 1e-4;
+}
+
+void FillSlabRow(SlotSlabs& out, size_t row, const SlotSensor& ss, int id,
+                 int generation) {
+  out.SetRow(row, ss, id * 0.125, generation * 2.0);
+}
+
+void MergeInPlace(Membership* m, const Batch& b, ThreadPool* pool) {
+  MergeSortedMembership(
+      &m->members, &m->scratch, &m->slot_pos, b.inserts, b.removes,
+      [&](SlotSensor& ss, int id) { FillPayload(ss, id, b.generation); },
+      &m->slabs, &m->slab_scratch,
+      [&](SlotSlabs& out, size_t row, const SlotSensor& ss, int id) {
+        FillSlabRow(out, row, ss, id, b.generation);
+      },
+      pool);
+}
+
+void MergeInto(const Membership& front, Membership* back, const Batch& b,
+               ThreadPool* pool) {
+  MergeSortedMembershipInto(
+      front.members, front.slabs, front.slot_pos, &back->members, &back->slabs,
+      &back->slot_pos, b.inserts, b.removes,
+      [&](SlotSensor& ss, int id) { FillPayload(ss, id, b.generation); },
+      [&](SlotSlabs& out, size_t row, const SlotSensor& ss, int id) {
+        FillSlabRow(out, row, ss, id, b.generation);
+      },
+      pool);
+}
+
+/// The naive reference: the ascending member list rebuilt from scratch,
+/// each member carrying the payload of the generation that inserted it.
+class NaiveMembership {
+ public:
+  void Apply(const Batch& b) {
+    for (int id : b.removes) born_[static_cast<size_t>(id)] = -1;
+    for (int id : b.inserts) born_[static_cast<size_t>(id)] = b.generation;
+  }
+  bool IsMember(int id) const { return born_[static_cast<size_t>(id)] >= 0; }
+
+  Membership Build() const {
+    Membership m;
+    for (int id = 0; id < kRegistry; ++id) {
+      const int gen = born_[static_cast<size_t>(id)];
+      if (gen < 0) continue;
+      SlotSensor ss;
+      ss.index = static_cast<int>(m.members.size());
+      ss.sensor_id = id;
+      FillPayload(ss, id, gen);
+      m.slot_pos[static_cast<size_t>(id)] = ss.index;
+      m.members.push_back(ss);
+    }
+    m.slabs.Resize(m.members.size());
+    for (const SlotSensor& ss : m.members) {
+      FillSlabRow(m.slabs, static_cast<size_t>(ss.index), ss, ss.sensor_id,
+                  born_[static_cast<size_t>(ss.sensor_id)]);
+    }
+    return m;
+  }
+
+ private:
+  std::vector<int> born_ = std::vector<int>(kRegistry, -1);
+};
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+void ExpectSame(const Membership& want, const Membership& got) {
+  ASSERT_EQ(want.members.size(), got.members.size());
+  for (size_t k = 0; k < want.members.size(); ++k) {
+    const SlotSensor& a = want.members[k];
+    const SlotSensor& b = got.members[k];
+    ASSERT_EQ(a.index, b.index) << "row " << k;
+    ASSERT_EQ(a.sensor_id, b.sensor_id) << "row " << k;
+    ASSERT_EQ(a.location.x, b.location.x) << "row " << k;
+    ASSERT_EQ(a.location.y, b.location.y) << "row " << k;
+    ASSERT_EQ(a.cost, b.cost) << "row " << k;
+    ASSERT_EQ(a.inaccuracy, b.inaccuracy) << "row " << k;
+    ASSERT_EQ(a.trust, b.trust) << "row " << k;
+  }
+  EXPECT_EQ(want.slot_pos, got.slot_pos);
+  EXPECT_TRUE(SameBits(want.slabs.x, got.slabs.x));
+  EXPECT_TRUE(SameBits(want.slabs.y, got.slabs.y));
+  EXPECT_TRUE(SameBits(want.slabs.cost, got.slabs.cost));
+  EXPECT_TRUE(SameBits(want.slabs.inaccuracy, got.slabs.inaccuracy));
+  EXPECT_TRUE(SameBits(want.slabs.trust, got.slabs.trust));
+  EXPECT_TRUE(SameBits(want.slabs.privacy_mult, got.slabs.privacy_mult));
+  EXPECT_TRUE(SameBits(want.slabs.energy, got.slabs.energy));
+}
+
+/// Random batch: each member leaves with probability `p_remove`, each
+/// non-member joins with probability `p_insert`.
+Batch RandomBatch(const NaiveMembership& naive, double p_insert,
+                  double p_remove, Rng& rng) {
+  Batch b;
+  for (int id = 0; id < kRegistry; ++id) {
+    if (naive.IsMember(id)) {
+      if (rng.Uniform(0.0, 1.0) < p_remove) b.removes.push_back(id);
+    } else if (rng.Uniform(0.0, 1.0) < p_insert) {
+      b.inserts.push_back(id);
+    }
+  }
+  return b;
+}
+
+/// The scripted batch sequence: a cold build, then every edge case, then
+/// random churn with short and long runs.
+std::vector<Batch> Script(uint64_t seed) {
+  Rng rng(seed);
+  NaiveMembership naive;
+  std::vector<Batch> batches;
+  const auto push = [&](Batch b) {
+    b.generation = static_cast<int>(batches.size()) + 1;
+    naive.Apply(b);
+    batches.push_back(std::move(b));
+  };
+  // Cold build (old_size == 0): most of the registry joins at once, but
+  // not id 0 or the last id, which join later.
+  {
+    Batch b = RandomBatch(naive, 0.8, 0.0, rng);
+    std::erase(b.inserts, 0);
+    std::erase(b.inserts, kRegistry - 1);
+    push(std::move(b));
+  }
+  // Removes whichever of `ids` are members, so every batch is valid.
+  const auto removal = [&](std::vector<int> ids) {
+    std::erase_if(ids, [&](int id) { return !naive.IsMember(id); });
+    return Batch{{}, std::move(ids), 0};
+  };
+  int middle = kRegistry / 2;
+  while (!naive.IsMember(middle)) ++middle;
+  push(Batch{});                                     // empty batch
+  push(Batch{{0, kRegistry - 1}, {}, 0});            // inserts at both ends
+  push(removal({middle}));                           // two long runs
+  push(RandomBatch(naive, 0.05, 0.05, rng));         // many short runs
+  push(RandomBatch(naive, 0.0001, 0.0001, rng));     // few, chunk-crossing
+  push(removal({0, kRegistry - 1}));                 // removes at both ends
+  push(RandomBatch(naive, 0.5, 0.5, rng));           // runs of a row or two
+  {
+    Batch all;  // remove-all
+    for (int id = 0; id < kRegistry; ++id) {
+      if (naive.IsMember(id)) all.removes.push_back(id);
+    }
+    push(std::move(all));
+  }
+  push(RandomBatch(naive, 0.6, 0.0, rng));  // cold build again
+  push(RandomBatch(naive, 0.01, 0.02, rng));
+  return batches;
+}
+
+TEST(MembershipMergeTest, SerialMergeMatchesNaiveRebuild) {
+  NaiveMembership naive;
+  Membership merged;
+  for (const Batch& b : Script(11)) {
+    naive.Apply(b);
+    MergeInPlace(&merged, b, nullptr);
+    ExpectSame(naive.Build(), merged);
+  }
+}
+
+TEST(MembershipMergeTest, PooledMergeMatchesSerialForEveryPoolSize) {
+  const std::vector<Batch> script = Script(12);
+  for (int threads : {2, 4, 8}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    Membership serial;
+    Membership pooled;
+    NaiveMembership naive;
+    for (const Batch& b : script) {
+      naive.Apply(b);
+      MergeInPlace(&serial, b, nullptr);
+      MergeInPlace(&pooled, b, &pool);
+      ExpectSame(serial, pooled);
+      ExpectSame(naive.Build(), pooled);
+    }
+  }
+}
+
+TEST(MembershipMergeTest, CrossBufferMergeMatchesInPlace) {
+  const std::vector<Batch> script = Script(13);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+    // Two buffers flipped every batch, as pipelined serving does: the
+    // back buffer's slot_pos and members are two batches stale, so the
+    // merge must not trust them.
+    Membership buffers[2];
+    Membership in_place;
+    NaiveMembership naive;
+    int front = 0;
+    for (const Batch& b : script) {
+      naive.Apply(b);
+      MergeInto(buffers[front], &buffers[front ^ 1], b, pool.get());
+      front ^= 1;
+      MergeInPlace(&in_place, b, nullptr);
+      ExpectSame(in_place, buffers[front]);
+      ExpectSame(naive.Build(), buffers[front]);
+    }
+  }
+}
+
+}  // namespace
+}  // namespace psens
