@@ -204,6 +204,24 @@ void AcquisitionEngine::ApplyDelta(const SensorDelta& delta) {
   ApplyDeltaToRegistry(delta);
 }
 
+void AcquisitionEngine::ApplyIndexOps(SpatialIndex* index,
+                                      std::span<const IndexOp> ops) {
+  if (index == nullptr) return;
+  for (const IndexOp& op : ops) {
+    switch (op.kind) {
+      case IndexOp::kInsert:
+        index->Insert(op.id, op.p);
+        break;
+      case IndexOp::kRemove:
+        index->Remove(op.id);
+        break;
+      case IndexOp::kMove:
+        index->Move(op.id, op.p);
+        break;
+    }
+  }
+}
+
 void AcquisitionEngine::RefreshMember(SlotBuffer& b, int id, int time) {
   const Sensor& s = sensors_[id];
   const bool member = s.available() &&
@@ -212,13 +230,13 @@ void AcquisitionEngine::RefreshMember(SlotBuffer& b, int id, int time) {
   const int pos = b.slot_pos[id];
   if (member && pos < 0) {
     pending_insert_.push_back(id);
-    if (b.index != nullptr) b.index->Insert(id, s.position());
+    index_ops_.push_back(IndexOp{IndexOp::kInsert, id, s.position()});
     return;
   }
   if (!member) {
     if (pos >= 0) {
       pending_remove_.push_back(id);
-      if (b.index != nullptr) b.index->Remove(id);
+      index_ops_.push_back(IndexOp{IndexOp::kRemove, id, Point{}});
     }
     return;
   }
@@ -229,21 +247,38 @@ void AcquisitionEngine::RefreshMember(SlotBuffer& b, int id, int time) {
     ss.location = s.position();
     b.ctx.slabs.x[static_cast<size_t>(pos)] = ss.location.x;
     b.ctx.slabs.y[static_cast<size_t>(pos)] = ss.location.y;
-    if (b.index != nullptr) b.index->Move(id, s.position());
+    index_ops_.push_back(IndexOp{IndexOp::kMove, id, s.position()});
   }
   if (cost_dirty_[id] || privacy_flag_[id]) {
     ss.cost = s.Cost(time);
     b.ctx.slabs.cost[static_cast<size_t>(pos)] = ss.cost;
-    // Readings (the one thing that drains energy) arrive here with
-    // cost_dirty set, so the diagnostic energy column rides the same patch.
-    b.ctx.slabs.energy[static_cast<size_t>(pos)] = s.RemainingEnergy();
   }
   if (journal_repairs_) repairs_.patched.push_back(id);
 }
 
+void AcquisitionEngine::FillInserted(SlotSensor& ss, int id, int time) {
+  const Sensor& s = sensors_[id];
+  ss.location = s.position();
+  ss.cost = s.Cost(time);
+  ss.inaccuracy = s.profile().inaccuracy;
+  ss.trust = s.profile().trust;
+  // A freshly inserted member with decaying privacy history must be on the
+  // refresh list, or its announced cost would freeze at this slot's value.
+  // Matters for cross-shard migrations (the departing shard's refresh
+  // state doesn't travel); behavior-neutral for a standalone engine, where
+  // such a sensor is either still enrolled or its cost has already aged to
+  // the post-window constant.
+  if (!privacy_flag_[id] && PrivacyLevelValue(s.profile().privacy) > 0.0 &&
+      !s.report_history().empty()) {
+    privacy_flag_[id] = 1;
+    privacy_refresh_.push_back(id);
+  }
+}
+
 void AcquisitionEngine::RebuildMembership(SlotBuffer& b, int time) {
-  std::sort(pending_insert_.begin(), pending_insert_.end());
-  std::sort(pending_remove_.begin(), pending_remove_.end());
+  // Both lists were filled walking the sorted changed_.
+  assert(std::is_sorted(pending_insert_.begin(), pending_insert_.end()));
+  assert(std::is_sorted(pending_remove_.begin(), pending_remove_.end()));
   if (journal_repairs_) {
     repairs_.inserted = pending_insert_;
     repairs_.removed = pending_remove_;
@@ -251,30 +286,14 @@ void AcquisitionEngine::RebuildMembership(SlotBuffer& b, int time) {
   MergeSortedMembership(
       &b.ctx.sensors, &merge_scratch_, &b.slot_pos, pending_insert_,
       pending_remove_,
-      [&](SlotSensor& ss, int id) {
-        const Sensor& s = sensors_[id];
-        ss.location = s.position();
-        ss.cost = s.Cost(time);
-        ss.inaccuracy = s.profile().inaccuracy;
-        ss.trust = s.profile().trust;
-        // A freshly inserted member with decaying privacy history must be
-        // on the refresh list, or its announced cost would freeze at this
-        // slot's value. Matters for cross-shard migrations (the departing
-        // shard's refresh state doesn't travel); behavior-neutral for a
-        // standalone engine, where such a sensor is either still enrolled
-        // or its cost has already aged to the post-window constant.
-        if (!privacy_flag_[id] &&
-            PrivacyLevelValue(s.profile().privacy) > 0.0 &&
-            !s.report_history().empty()) {
-          privacy_flag_[id] = 1;
-          privacy_refresh_.push_back(id);
-        }
-      },
-      &b.ctx.slabs, &slab_scratch_,
-      [&](SlotSlabs& out, size_t row, const SlotSensor& ss, int id) {
-        out.SetRowFrom(row, ss, sensors_[static_cast<size_t>(id)]);
-      },
-      pool_.get());
+      [&](SlotSensor& ss, int id) { FillInserted(ss, id, time); },
+      &b.ctx.slabs, &slab_scratch_, pool_.get(), [&] {
+        // Latency-bound and id-keyed, the ops run while the copy saturates
+        // memory bandwidth; on this thread, so grid-cell spills are not
+        // allocated from pool workers' malloc arenas.
+        ApplyIndexOps(b.index.get(), index_ops_);
+        index_ops_.clear();
+      });
   pending_insert_.clear();
   pending_remove_.clear();
 }
@@ -370,8 +389,15 @@ const SlotContext& AcquisitionEngine::BeginSlot(int time) {
   // slot_pos accesses into forward sweeps (and hands RebuildMembership
   // pre-sorted pending lists).
   SortChanged();
+  // The cold build's merge copies nothing to overlap, so its inserts apply
+  // as they are found: index_ops_'s capacity follows churn, not n.
+  const bool cold_build = b.ctx.sensors.empty();
   for (int id : changed_) {
     RefreshMember(b, id, time);
+    if (cold_build) {
+      ApplyIndexOps(b.index.get(), index_ops_);
+      index_ops_.clear();
+    }
     changed_flag_[id] = 0;
     cost_dirty_[id] = 0;
   }
@@ -379,6 +405,8 @@ const SlotContext& AcquisitionEngine::BeginSlot(int time) {
   if (!pending_insert_.empty() || !pending_remove_.empty()) {
     RebuildMembership(b, time);
   }
+  ApplyIndexOps(b.index.get(), index_ops_);  // a slot with moves only
+  index_ops_.clear();
   AttachIndex(b);
   return b.ctx;
 }
@@ -407,25 +435,8 @@ void AcquisitionEngine::StageNextSlot(int time, const SensorDelta& delta) {
   graph_->Launch();
 }
 
-void AcquisitionEngine::StagedIndexApply(SlotBuffer& b, IndexOp op) {
-  if (b.index == nullptr) return;
-  op_log_.push_back(op);
-  switch (op.kind) {
-    case IndexOp::kInsert:
-      b.index->Insert(op.id, op.p);
-      break;
-    case IndexOp::kRemove:
-      b.index->Remove(op.id);
-      break;
-    case IndexOp::kMove:
-      b.index->Move(op.id, op.p);
-      break;
-  }
-}
-
 void AcquisitionEngine::StageRefreshMember(int id) {
   SlotBuffer& f = buf_[front_];
-  SlotBuffer& b = buf_[front_ ^ 1];
   const Sensor& s = sensors_[id];
   const bool member = s.available() &&
                       config_.working_region.Contains(s.position()) &&
@@ -433,13 +444,13 @@ void AcquisitionEngine::StageRefreshMember(int id) {
   const int pos = f.slot_pos[id];
   if (member && pos < 0) {
     pending_insert_.push_back(id);
-    StagedIndexApply(b, IndexOp{IndexOp::kInsert, id, s.position()});
+    op_log_.push_back(IndexOp{IndexOp::kInsert, id, s.position()});
     return;
   }
   if (!member) {
     if (pos >= 0) {
       pending_remove_.push_back(id);
-      StagedIndexApply(b, IndexOp{IndexOp::kRemove, id, Point{}});
+      op_log_.push_back(IndexOp{IndexOp::kRemove, id, Point{}});
     }
     return;
   }
@@ -449,7 +460,7 @@ void AcquisitionEngine::StageRefreshMember(int id) {
   // deferred until the cross-buffer merge fixes positions.
   const SlotSensor& ss = f.ctx.sensors[static_cast<size_t>(pos)];
   const bool moved = !(ss.location == s.position());
-  if (moved) StagedIndexApply(b, IndexOp{IndexOp::kMove, id, s.position()});
+  if (moved) op_log_.push_back(IndexOp{IndexOp::kMove, id, s.position()});
   staged_patches_.push_back(
       StagedPatch{id, moved, cost_dirty_[id] != 0 || privacy_flag_[id] != 0});
 }
@@ -475,21 +486,7 @@ void AcquisitionEngine::EarlyRepairStaged(int time) {
   }
   // Catch this buffer's index up: replay the ops the previous staging
   // applied to the other buffer, so both indexes share one op history.
-  if (b.index != nullptr) {
-    for (const IndexOp& op : replay_log_) {
-      switch (op.kind) {
-        case IndexOp::kInsert:
-          b.index->Insert(op.id, op.p);
-          break;
-        case IndexOp::kRemove:
-          b.index->Remove(op.id);
-          break;
-        case IndexOp::kMove:
-          b.index->Move(op.id, op.p);
-          break;
-      }
-    }
-  }
+  ApplyIndexOps(b.index.get(), replay_log_);
   replay_log_.clear();
   staged_patches_.clear();
   b.ctx.time = time;
@@ -523,8 +520,10 @@ void AcquisitionEngine::EarlyRepairStaged(int time) {
     cost_dirty_[id] = 0;
   }
   changed_.clear();
-  std::sort(pending_insert_.begin(), pending_insert_.end());
-  std::sort(pending_remove_.begin(), pending_remove_.end());
+  ApplyIndexOps(b.index.get(), op_log_);
+  // Both lists were filled walking the sorted changed_.
+  assert(std::is_sorted(pending_insert_.begin(), pending_insert_.end()));
+  assert(std::is_sorted(pending_remove_.begin(), pending_remove_.end()));
   if (journal_repairs_) {
     repairs_.inserted = pending_insert_;
     repairs_.removed = pending_remove_;
@@ -535,23 +534,7 @@ void AcquisitionEngine::EarlyRepairStaged(int time) {
   MergeSortedMembershipInto(
       f.ctx.sensors, f.ctx.slabs, f.slot_pos, &b.ctx.sensors, &b.ctx.slabs,
       &b.slot_pos, pending_insert_, pending_remove_,
-      [&](SlotSensor& ss, int id) {
-        const Sensor& s = sensors_[id];
-        ss.location = s.position();
-        ss.cost = s.Cost(time);
-        ss.inaccuracy = s.profile().inaccuracy;
-        ss.trust = s.profile().trust;
-        // Same migrated-member re-enrollment as RebuildMembership's fill.
-        if (!privacy_flag_[id] &&
-            PrivacyLevelValue(s.profile().privacy) > 0.0 &&
-            !s.report_history().empty()) {
-          privacy_flag_[id] = 1;
-          privacy_refresh_.push_back(id);
-        }
-      },
-      [&](SlotSlabs& out, size_t row, const SlotSensor& ss, int id) {
-        out.SetRowFrom(row, ss, sensors_[static_cast<size_t>(id)]);
-      });
+      [&](SlotSensor& ss, int id) { FillInserted(ss, id, time); });
   pending_insert_.clear();
   pending_remove_.clear();
   // Deferred announcement patches, now at post-merge back positions. The
@@ -570,7 +553,6 @@ void AcquisitionEngine::EarlyRepairStaged(int time) {
     if (p.cost) {
       ss.cost = s.Cost(time);
       b.ctx.slabs.cost[static_cast<size_t>(pos)] = ss.cost;
-      b.ctx.slabs.energy[static_cast<size_t>(pos)] = s.RemainingEnergy();
     }
     if (journal_repairs_) repairs_.patched.push_back(p.id);
   }
@@ -597,7 +579,6 @@ void AcquisitionEngine::LateFeedbackStaged(
       SlotSensor& ss = b.ctx.sensors[static_cast<size_t>(pos)];
       ss.cost = s.Cost(slot_time);
       b.ctx.slabs.cost[static_cast<size_t>(pos)] = ss.cost;
-      b.ctx.slabs.energy[static_cast<size_t>(pos)] = s.RemainingEnergy();
     }
     if (!privacy_flag_[id] &&
         PrivacyLevelValue(s.profile().privacy) > 0.0) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -229,18 +230,22 @@ class AcquisitionEngine : public ServingEngine {
     std::shared_ptr<SlotIndexView> view;
   };
 
-  /// One dynamic-index mutation, journaled during a staged repair so the
-  /// identical op sequence can be replayed onto the other buffer's index
-  /// at the next staging — both indexes then share the exact op history
-  /// (including kAuto rechoice counters), which keeps their query
-  /// behavior, and therefore selection outcomes, bitwise in lockstep
-  /// with a sequential single-index run.
+  /// One dynamic-index mutation. Sequential turnover batches a slot's ops
+  /// so they apply while the pool copies the membership merge; a staged
+  /// repair journals them so the identical op sequence can be replayed
+  /// onto the other buffer's index at the next staging — both indexes
+  /// then share the exact op history (including kAuto rechoice
+  /// counters), which keeps their query behavior, and therefore
+  /// selection outcomes, bitwise in lockstep with a sequential
+  /// single-index run.
   struct IndexOp {
     enum Kind { kInsert, kRemove, kMove };
     Kind kind;
     int id;
     Point p;
   };
+  /// Applies `ops` to `index` in order (no-op on a null index).
+  static void ApplyIndexOps(SpatialIndex* index, std::span<const IndexOp> ops);
 
   /// A continuing member whose staged announcement needs patching after
   /// the cross-buffer membership merge lands (positions are only known
@@ -258,14 +263,19 @@ class AcquisitionEngine : public ServingEngine {
   void SortChanged();
   void NoteReading(int id, int time);
   void ApplyDeltaToRegistry(const SensorDelta& delta);
+  /// Re-evaluates `id` against buffer `b`, appending its index op (if
+  /// any) to index_ops_.
   void RefreshMember(SlotBuffer& b, int id, int time);
+  /// The merge's `fill` for an inserted member: its announcement at `time`.
+  void FillInserted(SlotSensor& ss, int id, int time);
+  /// Merges pending_insert_/pending_remove_ into `b`, applying index_ops_
+  /// on this thread while the pool copies.
   void RebuildMembership(SlotBuffer& b, int time);
   void AttachIndex(SlotBuffer& b);
   /// Classification half of RefreshMember for the staged path: reads the
-  /// *front* buffer's membership, applies index ops to the *back* index
-  /// (journaling them), and defers context patches to staged_patches_.
+  /// *front* buffer's membership, journals index ops for the *back* index
+  /// in op_log_, and defers context patches to staged_patches_.
   void StageRefreshMember(int id);
-  void StagedIndexApply(SlotBuffer& b, IndexOp op);
 
   ServingConfig config_;
   /// The sensor registry. Exclusively owned by a standalone engine;
@@ -297,6 +307,10 @@ class AcquisitionEngine : public ServingEngine {
   /// Membership changes discovered by BeginSlot, merged in one pass.
   std::vector<int> pending_insert_;
   std::vector<int> pending_remove_;
+  /// The slot's index ops in refresh order (sequential turnover), applied
+  /// on the serving thread as the merge's `overlap` — while the pool
+  /// copies, when it does — or after the refresh loop if no merge runs.
+  std::vector<IndexOp> index_ops_;
   /// Merge target whose capacity persists across slots (swapped with
   /// ctx_.sensors after each membership rebuild).
   std::vector<SlotSensor> merge_scratch_;

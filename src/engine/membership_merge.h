@@ -2,6 +2,7 @@
 #define PSENS_ENGINE_MEMBERSHIP_MERGE_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <vector>
 
@@ -49,24 +50,34 @@ constexpr size_t kMinParallelCopyRows = size_t{1} << 15;
 
 /// The SlotSlabs columns, each copied alongside the AoS rows.
 inline constexpr std::vector<double> SlotSlabs::*kSlabColumns[] = {
-    &SlotSlabs::x,          &SlotSlabs::y,     &SlotSlabs::cost,
-    &SlotSlabs::inaccuracy, &SlotSlabs::trust, &SlotSlabs::privacy_mult,
-    &SlotSlabs::energy};
+    &SlotSlabs::x, &SlotSlabs::y, &SlotSlabs::cost, &SlotSlabs::inaccuracy,
+    &SlotSlabs::trust};
+
+/// Waits for `pool` on scope exit, so no exit path — an exception from the
+/// overlapped work included — leaves copy tasks reading a dead frame.
+struct PoolWait {
+  ThreadPool* pool;
+  ~PoolWait() { pool->Wait(); }
+};
 
 /// The one merge kernel behind MergeSortedMembership and
 /// MergeSortedMembershipInto. Phase 1 walks the sorted events serially in
-/// ascending id order — O(k) for k events: it places inserts (calling
-/// `fill` then `slab_fill`), retires removals, and records the unchanged
-/// runs between events. Phase 2 copies those runs — the O(n) part — as
-/// contiguous row chunks spread over `pool`: each chunk memcpys its AoS rows
-/// and the 7 slab columns, then shifts .index and rewrites slot_pos for
-/// its rows while they are cache-hot. Every row and slot_pos entry is
+/// ascending id order — O(k) for k events: it places inserts (their
+/// slot_pos entries), retires removals, and records the unchanged runs
+/// between events. Phase 2 copies those runs — the O(n) part — as
+/// contiguous row chunks spread over `pool`: each chunk memcpys its AoS
+/// rows and the 5 slab columns, then shifts .index and rewrites slot_pos
+/// for its rows while they are cache-hot. Every row and slot_pos entry is
 /// written by exactly one chunk, so any pool size gives the same bytes.
+/// Meanwhile the calling thread fills the inserted rows (`fill` in
+/// ascending id order, then the slab row from the filled entry) and runs
+/// `overlap()` once; neither may touch the copied rows. Without a pooled
+/// copy, both run after the copy.
 /// `rewrite_unshifted` also rewrites slot_pos for runs that did not move
 /// (needed when `dst_slot_pos` starts out reset). `src_slot_pos` may
 /// alias `dst_slot_pos`: the walk reads only entries above the current
 /// event id, which it has not written yet.
-template <typename FillFn, typename SlabFillFn>
+template <typename FillFn, typename OverlapFn>
 void MergeMembership(const std::vector<SlotSensor>& src,
                      const SlotSlabs& src_slabs,
                      const std::vector<int>& src_slot_pos,
@@ -74,7 +85,7 @@ void MergeMembership(const std::vector<SlotSensor>& src,
                      std::vector<int>* dst_slot_pos, bool rewrite_unshifted,
                      const std::vector<int>& inserts,
                      const std::vector<int>& removes, FillFn&& fill,
-                     SlabFillFn&& slab_fill, ThreadPool* pool) {
+                     ThreadPool* pool, OverlapFn&& overlap) {
   const size_t old_size = src.size();
   dst->resize(old_size + inserts.size());
   dst_slabs->Resize(old_size + inserts.size());
@@ -102,11 +113,6 @@ void MergeMembership(const std::vector<SlotSensor>& src,
     if (take_insert) {
       const int id = inserts[ii++];
       end_run(MemberInsertPosition(src_slot_pos, id, old_size));
-      SlotSensor& ss = (*dst)[di];
-      ss.index = static_cast<int>(di);
-      ss.sensor_id = id;
-      fill(ss, id);
-      slab_fill(*dst_slabs, di, ss, id);
       (*dst_slot_pos)[id] = static_cast<int>(di);
       ++di;
     } else {
@@ -117,6 +123,17 @@ void MergeMembership(const std::vector<SlotSensor>& src,
     }
   }
   end_run(old_size);
+  // Inserted rows are the ones no copy run writes; slot_pos locates them.
+  const auto fill_inserts = [&] {
+    for (int id : inserts) {
+      const size_t row = static_cast<size_t>((*dst_slot_pos)[id]);
+      SlotSensor& ss = (*dst)[row];
+      ss.index = static_cast<int>(row);
+      ss.sensor_id = id;
+      fill(ss, id);
+      dst_slabs->SetRow(row, ss);
+    }
+  };
 
   // Copies rows [begin, end) of the concatenated run sequence.
   const auto copy_rows = [&](size_t begin, size_t end) {
@@ -151,13 +168,25 @@ void MergeMembership(const std::vector<SlotSensor>& src,
   if (pool != nullptr && pool->size() > 1 && copied >= kMinParallelCopyRows) {
     // A few chunks per worker: workers claim them dynamically, so one
     // preempted worker delays the copy by a chunk, not by a quarter of it.
+    // The calling thread fills and overlaps first, then claims what is
+    // left.
     const int chunks = pool->size() * 4;
-    pool->ParallelFor(chunks, [&](int c) {
-      copy_rows(copied * static_cast<size_t>(c) / chunks,
-                copied * static_cast<size_t>(c + 1) / chunks);
-    });
+    std::atomic<int> next{0};
+    const auto claim_chunks = [&] {
+      for (int c = next++; c < chunks; c = next++) {
+        copy_rows(copied * static_cast<size_t>(c) / chunks,
+                  copied * static_cast<size_t>(c + 1) / chunks);
+      }
+    };
+    const PoolWait wait{pool};
+    for (int w = 0; w < pool->size(); ++w) pool->Submit(claim_chunks);
+    fill_inserts();
+    overlap();
+    claim_chunks();
   } else {
     copy_rows(0, copied);
+    fill_inserts();
+    overlap();
   }
   dst->resize(di);
   dst_slabs->Resize(di);
@@ -181,22 +210,23 @@ void MergeMembership(const std::vector<SlotSensor>& src,
 /// `slot_pos` maps sensor id -> position in `members` (-1 = non-member)
 /// and is kept consistent. `fill(ss, id)` populates a freshly inserted
 /// entry's payload (location/cost/inaccuracy/trust); .index and
-/// .sensor_id are set by the merge. `slab_fill(out, row, ss, id)` then
-/// populates the inserted slab row — typically out.SetRowFrom(row, ss,
-/// registry[id]). Both run on the calling thread, in ascending id order.
-/// `members`/`scratch` and the slab pairs are swapped on return.
-template <typename FillFn, typename SlabFillFn>
+/// .sensor_id are set by the merge, and so is the inserted slab row.
+/// `overlap()` is independent work (`[] {}` for none). Both run on the
+/// calling thread, `fill` in ascending id order, while the pool copies
+/// (see merge_detail::MergeMembership). `members`/`scratch` and the slab
+/// pairs are swapped on return.
+template <typename FillFn, typename OverlapFn>
 void MergeSortedMembership(std::vector<SlotSensor>* members,
                            std::vector<SlotSensor>* scratch,
                            std::vector<int>* slot_pos,
                            const std::vector<int>& inserts,
                            const std::vector<int>& removes, FillFn&& fill,
                            SlotSlabs* slabs, SlotSlabs* slab_scratch,
-                           SlabFillFn&& slab_fill, ThreadPool* pool = nullptr) {
+                           ThreadPool* pool, OverlapFn&& overlap) {
   merge_detail::MergeMembership(*members, *slabs, *slot_pos, scratch,
                                 slab_scratch, slot_pos,
                                 /*rewrite_unshifted=*/false, inserts, removes,
-                                fill, slab_fill, pool);
+                                fill, pool, overlap);
   std::swap(*slabs, *slab_scratch);
   std::swap(*members, *scratch);
 }
@@ -212,7 +242,7 @@ void MergeSortedMembership(std::vector<SlotSensor>* members,
 /// incremental fixup would leave them dangling. Both variants run the
 /// same kernel, so front-to-back and in-place produce identical member
 /// arrays.
-template <typename FillFn, typename SlabFillFn>
+template <typename FillFn>
 void MergeSortedMembershipInto(const std::vector<SlotSensor>& src,
                                const SlotSlabs& src_slabs,
                                const std::vector<int>& src_slot_pos,
@@ -221,12 +251,11 @@ void MergeSortedMembershipInto(const std::vector<SlotSensor>& src,
                                std::vector<int>* dst_slot_pos,
                                const std::vector<int>& inserts,
                                const std::vector<int>& removes, FillFn&& fill,
-                               SlabFillFn&& slab_fill,
                                ThreadPool* pool = nullptr) {
   dst_slot_pos->assign(src_slot_pos.size(), -1);
   merge_detail::MergeMembership(src, src_slabs, src_slot_pos, dst, dst_slabs,
                                 dst_slot_pos, /*rewrite_unshifted=*/true,
-                                inserts, removes, fill, slab_fill, pool);
+                                inserts, removes, fill, pool, [] {});
 }
 
 }  // namespace psens

@@ -315,8 +315,7 @@ void ShardRouter::Reconcile() {
     g.inaccuracy = e->inaccuracy;
     g.trust = e->trust;
     // Keep the merged context's SoA columns in lockstep with the patch.
-    b.ctx.slabs.SetRowFrom(static_cast<size_t>(pos), g,
-                           (*registry_)[static_cast<size_t>(id)]);
+    b.ctx.slabs.SetRow(static_cast<size_t>(pos), g);
   };
   journal_ins_.clear();
   journal_rem_.clear();
@@ -328,34 +327,11 @@ void ShardRouter::Reconcile() {
     for (int id : r.removed) journal_rem_.emplace_back(id, s);
   }
   if (journal_ins_.empty() && journal_rem_.empty()) return;
-  // 2. Net cross-shard migrations: an id inserted by one shard and
-  // removed by another in the same slot stays a global member — it only
-  // changed owner — so it becomes a payload patch from the inserting
-  // shard instead of membership churn. Ownership is a function of
-  // position, so each id appears at most once per list.
-  std::sort(journal_ins_.begin(), journal_ins_.end());
-  std::sort(journal_rem_.begin(), journal_rem_.end());
-  net_inserts_.clear();
-  net_insert_shard_.clear();
-  net_removes_.clear();
-  size_t ii = 0;
-  size_t ri = 0;
-  while (ii < journal_ins_.size() || ri < journal_rem_.size()) {
-    if (ri >= journal_rem_.size() ||
-        (ii < journal_ins_.size() &&
-         journal_ins_[ii].first < journal_rem_[ri].first)) {
-      net_inserts_.push_back(journal_ins_[ii].first);
-      net_insert_shard_.push_back(journal_ins_[ii].second);
-      ++ii;
-    } else if (ii >= journal_ins_.size() ||
-               journal_rem_[ri].first < journal_ins_[ii].first) {
-      net_removes_.push_back(journal_rem_[ri].first);
-      ++ri;
-    } else {
-      patch_from(journal_ins_[ii].second, journal_ins_[ii].first);
-      ++ii;
-      ++ri;
-    }
+  // 2. Net cross-shard migrations into payload patches.
+  journal_patch_.clear();
+  NetMigrations();
+  for (const std::pair<int, int>& p : journal_patch_) {
+    patch_from(p.second, p.first);
   }
   if (net_inserts_.empty() && net_removes_.empty()) return;
   // 3. One ascending-id membership merge — the same implementation the
@@ -376,10 +352,34 @@ void ShardRouter::Reconcile() {
         ss.inaccuracy = e->inaccuracy;
         ss.trust = e->trust;
       },
-      &b.ctx.slabs, &slab_scratch_,
-      [&](SlotSlabs& out, size_t row, const SlotSensor& ss, int id) {
-        out.SetRowFrom(row, ss, (*registry_)[static_cast<size_t>(id)]);
-      });
+      &b.ctx.slabs, &slab_scratch_, /*pool=*/nullptr, [] {});
+}
+
+void ShardRouter::NetMigrations() {
+  std::sort(journal_ins_.begin(), journal_ins_.end());
+  std::sort(journal_rem_.begin(), journal_rem_.end());
+  net_inserts_.clear();
+  net_insert_shard_.clear();
+  net_removes_.clear();
+  size_t ii = 0;
+  size_t ri = 0;
+  while (ii < journal_ins_.size() || ri < journal_rem_.size()) {
+    if (ri >= journal_rem_.size() ||
+        (ii < journal_ins_.size() &&
+         journal_ins_[ii].first < journal_rem_[ri].first)) {
+      net_inserts_.push_back(journal_ins_[ii].first);
+      net_insert_shard_.push_back(journal_ins_[ii].second);
+      ++ii;
+    } else if (ii >= journal_ins_.size() ||
+               journal_rem_[ri].first < journal_ins_[ii].first) {
+      net_removes_.push_back(journal_rem_[ri].first);
+      ++ri;
+    } else {
+      journal_patch_.push_back(journal_ins_[ii]);
+      ++ii;
+      ++ri;
+    }
+  }
 }
 
 void ShardRouter::AttachIndex(RouterBuffer& b) {
@@ -450,32 +450,7 @@ void ShardRouter::StagedReconcile() {
     for (int id : r.inserted) journal_ins_.emplace_back(id, s);
     for (int id : r.removed) journal_rem_.emplace_back(id, s);
   }
-  // Net cross-shard migrations into patches (same rule as Reconcile).
-  std::sort(journal_ins_.begin(), journal_ins_.end());
-  std::sort(journal_rem_.begin(), journal_rem_.end());
-  net_inserts_.clear();
-  net_insert_shard_.clear();
-  net_removes_.clear();
-  size_t ii = 0;
-  size_t ri = 0;
-  while (ii < journal_ins_.size() || ri < journal_rem_.size()) {
-    if (ri >= journal_rem_.size() ||
-        (ii < journal_ins_.size() &&
-         journal_ins_[ii].first < journal_rem_[ri].first)) {
-      net_inserts_.push_back(journal_ins_[ii].first);
-      net_insert_shard_.push_back(journal_ins_[ii].second);
-      ++ii;
-    } else if (ii >= journal_ins_.size() ||
-               journal_rem_[ri].first < journal_ins_[ii].first) {
-      net_removes_.push_back(journal_rem_[ri].first);
-      ++ri;
-    } else {
-      journal_patch_.emplace_back(journal_ins_[ii].first,
-                                  journal_ins_[ii].second);
-      ++ii;
-      ++ri;
-    }
-  }
+  NetMigrations();
   // Cross-buffer membership merge: always runs (zero events degenerate
   // to a straight copy) — the back buffer's member array and slot_pos
   // map are two slots stale, so unlike Reconcile there is no
@@ -493,9 +468,6 @@ void ShardRouter::StagedReconcile() {
         ss.cost = e->cost;
         ss.inaccuracy = e->inaccuracy;
         ss.trust = e->trust;
-      },
-      [&](SlotSlabs& out, size_t row, const SlotSensor& ss, int id) {
-        out.SetRowFrom(row, ss, (*registry_)[static_cast<size_t>(id)]);
       });
   // Payload patches for continuing members, deferred to post-merge back
   // positions (patched ids are disjoint, so application order between
@@ -510,8 +482,7 @@ void ShardRouter::StagedReconcile() {
     g.cost = e->cost;
     g.inaccuracy = e->inaccuracy;
     g.trust = e->trust;
-    b.ctx.slabs.SetRowFrom(static_cast<size_t>(pos), g,
-                           (*registry_)[static_cast<size_t>(p.first)]);
+    b.ctx.slabs.SetRow(static_cast<size_t>(pos), g);
   }
   AttachIndex(b);
 }
@@ -560,7 +531,6 @@ const SlotContext& ShardRouter::ActivateStagedSlot() {
       SlotSensor& g = b.ctx.sensors[static_cast<size_t>(pos)];
       g.cost = s.Cost(staged_time_);
       b.ctx.slabs.cost[static_cast<size_t>(pos)] = g.cost;
-      b.ctx.slabs.energy[static_cast<size_t>(pos)] = s.RemainingEnergy();
     }
     pending_readings_.clear();
   }

@@ -154,6 +154,13 @@ class ShardRouter : public ServingEngine {
   /// (always runs — the back buffer is two slots stale), patching
   /// continuing members at post-merge positions.
   void StagedReconcile();
+  /// Sorts journal_ins_/journal_rem_ and nets them into net_inserts_ (with
+  /// net_insert_shard_) and net_removes_. An id inserted by one shard and
+  /// removed by another in the same slot only changed owner: it stays a
+  /// global member and is appended to journal_patch_ as (id, inserting
+  /// shard) instead. Ownership is a function of position, so each id
+  /// appears at most once per list.
+  void NetMigrations();
   void AttachIndex(RouterBuffer& b);
 
   ServingConfig config_;
@@ -185,7 +192,7 @@ class ShardRouter : public ServingEngine {
   // Reconcile/readings scratch (persisted capacity).
   std::vector<std::pair<int, int>> journal_ins_;  // (id, shard)
   std::vector<std::pair<int, int>> journal_rem_;
-  std::vector<std::pair<int, int>> journal_patch_;  // staged reconcile only
+  std::vector<std::pair<int, int>> journal_patch_;
   std::vector<int> net_inserts_;
   std::vector<int> net_insert_shard_;
   std::vector<int> net_removes_;

@@ -183,7 +183,7 @@ SlotContext MakeSlot(const std::vector<Point>& positions, Rng& rng,
   }
   slot.slabs.Resize(slot.sensors.size());
   for (size_t i = 0; i < slot.sensors.size(); ++i) {
-    slot.slabs.SetRow(i, slot.sensors[i], 1.0, 1.0);
+    slot.slabs.SetRow(i, slot.sensors[i]);
   }
   slot.use_soa = kind.soa;
   slot.index_policy =

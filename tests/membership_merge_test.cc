@@ -7,6 +7,8 @@
 
 #include <cstring>
 #include <memory>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -47,20 +49,11 @@ void FillPayload(SlotSensor& ss, int id, int generation) {
   ss.trust = 1.0 - generation * 1e-4;
 }
 
-void FillSlabRow(SlotSlabs& out, size_t row, const SlotSensor& ss, int id,
-                 int generation) {
-  out.SetRow(row, ss, id * 0.125, generation * 2.0);
-}
-
 void MergeInPlace(Membership* m, const Batch& b, ThreadPool* pool) {
   MergeSortedMembership(
       &m->members, &m->scratch, &m->slot_pos, b.inserts, b.removes,
       [&](SlotSensor& ss, int id) { FillPayload(ss, id, b.generation); },
-      &m->slabs, &m->slab_scratch,
-      [&](SlotSlabs& out, size_t row, const SlotSensor& ss, int id) {
-        FillSlabRow(out, row, ss, id, b.generation);
-      },
-      pool);
+      &m->slabs, &m->slab_scratch, pool, [] {});
 }
 
 void MergeInto(const Membership& front, Membership* back, const Batch& b,
@@ -69,9 +62,6 @@ void MergeInto(const Membership& front, Membership* back, const Batch& b,
       front.members, front.slabs, front.slot_pos, &back->members, &back->slabs,
       &back->slot_pos, b.inserts, b.removes,
       [&](SlotSensor& ss, int id) { FillPayload(ss, id, b.generation); },
-      [&](SlotSlabs& out, size_t row, const SlotSensor& ss, int id) {
-        FillSlabRow(out, row, ss, id, b.generation);
-      },
       pool);
 }
 
@@ -99,8 +89,7 @@ class NaiveMembership {
     }
     m.slabs.Resize(m.members.size());
     for (const SlotSensor& ss : m.members) {
-      FillSlabRow(m.slabs, static_cast<size_t>(ss.index), ss, ss.sensor_id,
-                  born_[static_cast<size_t>(ss.sensor_id)]);
+      m.slabs.SetRow(static_cast<size_t>(ss.index), ss);
     }
     return m;
   }
@@ -134,8 +123,6 @@ void ExpectSame(const Membership& want, const Membership& got) {
   EXPECT_TRUE(SameBits(want.slabs.cost, got.slabs.cost));
   EXPECT_TRUE(SameBits(want.slabs.inaccuracy, got.slabs.inaccuracy));
   EXPECT_TRUE(SameBits(want.slabs.trust, got.slabs.trust));
-  EXPECT_TRUE(SameBits(want.slabs.privacy_mult, got.slabs.privacy_mult));
-  EXPECT_TRUE(SameBits(want.slabs.energy, got.slabs.energy));
 }
 
 /// Random batch: each member leaves with probability `p_remove`, each
@@ -247,6 +234,65 @@ TEST(MembershipMergeTest, CrossBufferMergeMatchesInPlace) {
       ExpectSame(in_place, buffers[front]);
       ExpectSame(naive.Build(), buffers[front]);
     }
+  }
+}
+
+// `fill` runs on the calling thread in ascending id order, and `overlap`
+// exactly once per merge, whether the copy is pooled, serial, or absent
+// (a merge with nothing to copy).
+TEST(MembershipMergeTest, FillAndOverlapRunOnTheCallingThread) {
+  const std::vector<Batch> script = Script(14);
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    Membership merged;
+    for (const Batch& b : script) {
+      int calls = 0;
+      std::vector<int> filled;
+      MergeSortedMembership(
+          &merged.members, &merged.scratch, &merged.slot_pos, b.inserts,
+          b.removes,
+          [&](SlotSensor& ss, int id) {
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+            filled.push_back(id);
+            FillPayload(ss, id, b.generation);
+          },
+          &merged.slabs, &merged.slab_scratch, p, [&] {
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+            ++calls;
+          });
+      EXPECT_EQ(calls, 1);
+      EXPECT_EQ(filled, b.inserts);
+    }
+  }
+}
+
+// An overlap that throws must not unwind while pooled copy tasks still
+// read the merge's state (under ASan, a missing wait shows as a
+// heap-use-after-free of the run list); the pool stays usable and the
+// next merge is exact.
+TEST(MembershipMergeTest, ThrowingOverlapWaitsForPooledCopy) {
+  const std::vector<Batch> script = Script(15);
+  ThreadPool pool(4);
+  Membership merged;
+  NaiveMembership naive;
+  naive.Apply(script[0]);
+  MergeInPlace(&merged, script[0], nullptr);
+  Membership copy = merged;
+  EXPECT_THROW(
+      MergeSortedMembership(
+          &copy.members, &copy.scratch, &copy.slot_pos, script[1].inserts,
+          script[1].removes,
+          [&](SlotSensor& ss, int id) {
+            FillPayload(ss, id, script[1].generation);
+          },
+          &copy.slabs, &copy.slab_scratch, &pool,
+          [] { throw std::runtime_error("overlap failed"); }),
+      std::runtime_error);
+  for (size_t k = 1; k < script.size(); ++k) {
+    naive.Apply(script[k]);
+    MergeInPlace(&merged, script[k], &pool);
+    ExpectSame(naive.Build(), merged);
   }
 }
 

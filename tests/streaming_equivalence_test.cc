@@ -18,6 +18,7 @@
 #include "core/point_scheduling.h"
 #include "core/slot.h"
 #include "engine/acquisition_engine.h"
+#include "engine/membership_merge.h"
 #include "mobility/random_waypoint.h"
 #include "sim/workload.h"
 #include "trace/closed_loop.h"
@@ -252,10 +253,12 @@ struct JointRun {
 };
 
 JointRun RunJointSelection(const SlotContext& slot, const Rect& field,
-                           GreedyEngine engine, uint64_t seed) {
+                           GreedyEngine engine, uint64_t seed,
+                           int num_aggregates = 6) {
   Rng query_rng(seed);
   const std::vector<AggregateQuery::Params> agg_params =
-      GenerateAggregateQueries(6, field, 8.0, 15.0, 100, query_rng);
+      GenerateAggregateQueries(num_aggregates, field, 8.0, 15.0, 100,
+                               query_rng);
   const std::vector<PointQuery> point_specs = GeneratePointQueries(
       40, field, BudgetScheme{15.0, false, 0.0}, 0.2, 500, query_rng);
   std::vector<std::unique_ptr<AggregateQuery>> aggregates;
@@ -439,6 +442,133 @@ TEST(StreamingEquivalenceTest, ParallelEngineMatchesSerialUnderChurn) {
     ASSERT_EQ(serial_run.calls, parallel_run.calls) << "slot " << t;
     serial_engine.RecordSlotReadings(serial_run.selection.selected_sensors, t);
     parallel_engine.RecordSlotReadings(parallel_run.selection.selected_sensors, t);
+  }
+}
+
+/// Seeded probes of `slot.index` against a brute-force scan of
+/// `slot.sensors`: range and rect results (ascending slot indices) and the
+/// nearest sensor (lowest index on ties) must match exactly.
+void ExpectIndexMatchesScan(const SlotContext& slot, const Rect& field,
+                            Rng& rng, int t) {
+  ASSERT_NE(slot.index, nullptr) << "slot " << t;
+  ASSERT_EQ(slot.index->size(), static_cast<int>(slot.sensors.size()))
+      << "slot " << t;
+  std::vector<int> got;
+  std::vector<int> want;
+  for (int probe = 0; probe < 24; ++probe) {
+    const Point c{rng.Uniform(field.x_min, field.x_max),
+                  rng.Uniform(field.y_min, field.y_max)};
+    const double radius = rng.Uniform(0.0, 12.0);
+    const Rect rect{c.x - radius, c.y - 0.5 * radius, c.x + 0.5 * radius,
+                    c.y + radius};
+    slot.index->RangeQuery(c, radius, &got);
+    want.clear();
+    for (const SlotSensor& s : slot.sensors) {
+      if (Distance(c, s.location) <= radius) want.push_back(s.index);
+    }
+    ASSERT_EQ(got, want) << "slot " << t << " range probe " << probe;
+    slot.index->RectQuery(rect, &got);
+    want.clear();
+    for (const SlotSensor& s : slot.sensors) {
+      if (rect.Contains(s.location)) want.push_back(s.index);
+    }
+    ASSERT_EQ(got, want) << "slot " << t << " rect probe " << probe;
+    int nearest = -1;
+    double best = 0.0;
+    for (const SlotSensor& s : slot.sensors) {
+      const double d = Distance(c, s.location);
+      if (nearest < 0 || d < best) {
+        nearest = s.index;
+        best = d;
+      }
+    }
+    ASSERT_EQ(slot.index->Nearest(c), nearest)
+        << "slot " << t << " nearest probe " << probe;
+  }
+}
+
+// Turnover above the pooled-copy threshold: the membership merge copies
+// its runs on the engine's pool while the serving thread applies the
+// slot's batched index ops. Contexts, index answers and outcomes must
+// match the pool-free engine at every thread count — through the cold
+// build, churn slots with readings feedback, and a slot with moves only.
+TEST(StreamingEquivalenceTest, PooledTurnoverMatchesSerialAboveCopyThreshold) {
+  const int count =
+      static_cast<int>(merge_detail::kMinParallelCopyRows) * 3 / 2;
+  SensorPopulationConfig profile;
+  profile.random_privacy = true;  // readings feed back into announced costs
+  const ChurnScenarioSetup setup =
+      MakeChurnScenario(count, /*churn_fraction=*/0.01, /*seed=*/71,
+                        /*with_mobility=*/true, profile);
+  ChurnStream stream(setup.churn, setup.scenario.sensors, setup.field);
+  stream.SetClusteredPlacement(&setup.scenario, &setup.config);
+  Rng rng = setup.rng_after_generation;
+  std::vector<SensorDelta> deltas(1);  // slot 0: the cold build
+  for (int t = 1; t <= 3; ++t) deltas.push_back(stream.Next(rng));
+  // The last slot keeps only moves of members that stay inside the
+  // region (filtered below, once membership is known).
+  deltas.push_back(stream.Next(rng));
+  const int last = static_cast<int>(deltas.size()) - 1;
+
+  // Queries cover the middle of the field, which keeps selection cheap;
+  // turnover still spans all of it.
+  const double c = setup.side / 2.0;
+  const double h = setup.side / 8.0;
+  const Rect query_area{c - h, c - h, c + h, c + h};
+  const std::vector<int> thread_counts = {1, 2, 4};
+  std::vector<std::unique_ptr<AcquisitionEngine>> engines;
+  for (int threads : thread_counts) {
+    ServingConfig config = MakeConfig(setup.field, setup.dmax, true);
+    config.threads = threads;
+    engines.push_back(
+        std::make_unique<AcquisitionEngine>(setup.scenario.sensors, config));
+  }
+  const SlotContext* reference = nullptr;
+  for (int t = 0; t <= last; ++t) {
+    size_t previous_members = 0;
+    if (t == last) {
+      std::vector<char> member(setup.scenario.sensors.size(), 0);
+      for (const SlotSensor& s : reference->sensors) member[s.sensor_id] = 1;
+      SensorDelta moves_only;
+      for (const SensorDelta::Placement& m : deltas[last].moves) {
+        if (member[m.sensor_id] && setup.field.Contains(m.position)) {
+          moves_only.moves.push_back(m);
+        }
+      }
+      ASSERT_FALSE(moves_only.moves.empty());
+      deltas[last] = moves_only;
+      previous_members = reference->sensors.size();
+    }
+    std::vector<JointRun> runs;
+    for (size_t e = 0; e < engines.size(); ++e) {
+      SCOPED_TRACE(testing::Message() << "threads=" << thread_counts[e]);
+      AcquisitionEngine& engine = *engines[e];
+      engine.ApplyDelta(deltas[static_cast<size_t>(t)]);
+      const SlotContext& slot = engine.BeginSlot(t);
+      if (e == 0) reference = &slot;
+      ASSERT_GE(slot.sensors.size(), merge_detail::kMinParallelCopyRows);
+      if (t == last) {
+        ASSERT_EQ(slot.sensors.size(), previous_members) << "moves only";
+      }
+      Rng probe_rng(500 + static_cast<uint64_t>(t));
+      ExpectIndexMatchesScan(slot, setup.field, probe_rng, t);
+      ExpectSameContext(*reference, slot, t);
+      runs.push_back(RunJointSelection(slot, query_area, GreedyEngine::kLazy,
+                                       900 + static_cast<uint64_t>(t),
+                                       /*num_aggregates=*/2));
+      const JointRun& run = runs.back();
+      ASSERT_EQ(run.selection.selected_sensors,
+                runs[0].selection.selected_sensors)
+          << "slot " << t;
+      ASSERT_EQ(run.selection.total_value, runs[0].selection.total_value);
+      ASSERT_EQ(run.selection.valuation_calls,
+                runs[0].selection.valuation_calls);
+      ASSERT_EQ(run.payments, runs[0].payments) << "slot " << t;
+      ASSERT_EQ(run.values, runs[0].values) << "slot " << t;
+      ASSERT_EQ(run.calls, runs[0].calls) << "slot " << t;
+      engine.RecordSlotReadings(run.selection.selected_sensors, t);
+    }
+    ASSERT_FALSE(runs[0].selection.selected_sensors.empty()) << "slot " << t;
   }
 }
 
