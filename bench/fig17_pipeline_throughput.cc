@@ -2,24 +2,25 @@
 // closed-loop slots/sec, sequential vs pipelined, with a fatal
 // bit-equality column.
 //
-// ServingConfig::pipeline == 2 re-architects the per-slot cycle on the
-// work-stealing task-graph executor (src/common/task_graph.h): slot
+// ServingConfig::pipeline == 2 double-buffers the per-slot cycle: slot
 // t+1's staged turnover — delta ingestion, membership repair, SlotSlabs
-// refresh, dynamic-index maintenance — runs on a graph worker while the
-// serving thread binds, selects, and commits slot t. The commit barrier
-// (ActivateStagedSlot) sequences cross-slot feedback exactly as the
-// sequential schedule, so outcomes are bit-identical by construction;
-// the overlap only buys sustained throughput. This sweep measures that
-// buy: closed-loop slots/sec over the fig15 churn scenario (1% churn)
-// at 100k (and, full mode, 1M) sensors, sequential vs pipelined, plus a
-// 4-shard pair showing the overlap composes with the shard fan-out.
+// refresh, dynamic-index maintenance — runs on the engine's staging
+// worker thread while the serving thread binds, selects, and commits
+// slot t. The commit barrier (ActivateStagedSlot) sequences cross-slot
+// feedback exactly as the sequential schedule, so outcomes are
+// bit-identical by construction; the overlap only buys sustained
+// throughput. This sweep measures that buy: closed-loop slots/sec over
+// the churn scenario (1% churn) at 100k (and, full mode, 1M) sensors,
+// sequential vs pipelined, at 1 and 4 threads — the 4-thread pair shows
+// whether the overlap still pays once the sequential turnover copies its
+// membership merge on the pool.
 //
 // Every pipelined row's outcomes are compared slot-by-slot against its
 // sequential twin via SameOutcome(); a single diverging field prints
 // identical=NO and exits 1 — scripts/check_bench_regression.py treats
 // any non-identical row as fatal regardless of host. The throughput
-// shape (pipelined >= 1.3x sequential at 100k, unsharded) only means
-// anything when the host has a core for the graph worker to overlap
+// shape (pipelined >= 1.3x sequential at 100k, 1 thread) only means
+// anything when the host has a core for the staging worker to overlap
 // onto, so the JSON carries hardware_threads and the gate arms itself
 // accordingly.
 
@@ -45,7 +46,7 @@ struct PipelineRow {
   int aggregates_per_slot = 0;
   double churn_fraction = 0.0;
   int pipeline = 0;
-  int shards = 1;
+  int threads = 1;
   int hardware_threads = 0;
   double wall_ms = 0.0;
   double slots_per_sec = 0.0;
@@ -57,7 +58,7 @@ struct PipelineRow {
 /// reference pass and `out_reference` receives the outcomes; otherwise
 /// every slot is compared against it.
 PipelineRow RunOne(const ChurnScenarioSetup& setup, int n, int slots,
-                   double churn_fraction, int pipeline, int shards,
+                   double churn_fraction, int pipeline, int threads,
                    const ChurnQueryConfig& queries, uint64_t seed,
                    const std::vector<SlotOutcome>* reference,
                    std::vector<SlotOutcome>* out_reference) {
@@ -68,15 +69,14 @@ PipelineRow RunOne(const ChurnScenarioSetup& setup, int n, int slots,
   row.aggregates_per_slot = queries.aggregates_per_slot;
   row.churn_fraction = churn_fraction;
   row.pipeline = pipeline;
-  row.shards = shards;
+  row.threads = threads;
   row.hardware_threads = ThreadPool::ResolveParallelism(0);
 
   ClosedLoopConfig config;
   config.slots = slots;
   config.queries = queries;
   config.serving = ServingConfig()
-                       .WithShards(shards)
-                       .WithThreads(std::max(1, shards))
+                       .WithThreads(threads)
                        .WithPipeline(pipeline)
                        .WithApproxSeed(seed);
   const ClosedLoopResult result = RunChurnClosedLoop(setup, config);
@@ -93,9 +93,9 @@ PipelineRow RunOne(const ChurnScenarioSetup& setup, int n, int slots,
         if (!SameOutcome((*reference)[i], result.outcomes[i])) {
           row.identical = false;
           std::fprintf(stderr,
-                       "fig17 n=%d pipeline=%d shards=%d: slot %d diverged "
+                       "fig17 n=%d pipeline=%d threads=%d: slot %d diverged "
                        "from the sequential reference\n",
-                       n, pipeline, shards, result.outcomes[i].time);
+                       n, pipeline, threads, result.outcomes[i].time);
           break;
         }
       }
@@ -119,12 +119,12 @@ void WriteJson(const std::string& path, double cal_ms,
     std::fprintf(f,
                  "    {\"sensors\": %d, \"slots\": %d, \"queries\": %d, "
                  "\"aggregates\": %d, \"churn\": %.4f, \"pipeline\": %d, "
-                 "\"shards\": %d, \"hardware_threads\": %d, "
+                 "\"threads\": %d, \"hardware_threads\": %d, "
                  "\"wall_ms\": %.4f, \"slots_per_sec\": %.3f, "
                  "\"speedup_vs_sequential\": %.3f, \"identical\": %s}%s\n",
                  r.sensors, r.slots, r.queries_per_slot,
                  r.aggregates_per_slot, r.churn_fraction, r.pipeline,
-                 r.shards, r.hardware_threads, r.wall_ms, r.slots_per_sec,
+                 r.threads, r.hardware_threads, r.wall_ms, r.slots_per_sec,
                  r.speedup_vs_sequential, r.identical ? "true" : "false",
                  i + 1 < rows.size() ? "," : "");
   }
@@ -152,9 +152,7 @@ int main(int argc, char** argv) {
     if (capped.empty()) capped.push_back(args.max_sensors);
     populations = capped;
   }
-  // Sequential/pipelined twins, unsharded and composed with the 4-shard
-  // fan-out (the pipelined router overlaps per-shard repair with the
-  // merged selection pass).
+  // (pipeline, threads): sequential/pipelined twins at 1 and 4 threads.
   const std::vector<std::pair<int, int>> variants{
       {0, 1}, {2, 1}, {0, 4}, {2, 4}};
 
@@ -165,7 +163,7 @@ int main(int argc, char** argv) {
   bench::PrintHeader(
       "fig17: pipelined slot execution, sequential vs pipelined slots/sec");
   std::printf("%9s %6s %9s %7s %10s %12s %9s %s\n", "sensors", "slots",
-              "pipeline", "shards", "wall_ms", "slots/sec", "speedup",
+              "pipeline", "threads", "wall_ms", "slots/sec", "speedup",
               "identical");
 
   const double cal_ms = bench::CalibrationMs();
@@ -174,17 +172,16 @@ int main(int argc, char** argv) {
   for (int n : populations) {
     const ChurnScenarioSetup setup = MakeChurnScenario(
         n, churn_fraction, args.seed, /*with_mobility=*/false);
-    // One reference per shard count: the pipelined row must match its
-    // sequential twin bit for bit (fig15 already pins shards vs
-    // unsharded).
+    // One reference per thread count: the pipelined row must match its
+    // sequential twin bit for bit.
     std::vector<SlotOutcome> reference;
     double sequential_slots_per_sec = 0.0;
-    for (const auto& [pipeline, shards] : variants) {
+    for (const auto& [pipeline, threads] : variants) {
       PipelineRow row =
           pipeline == 0
-              ? RunOne(setup, n, slots, churn_fraction, pipeline, shards,
+              ? RunOne(setup, n, slots, churn_fraction, pipeline, threads,
                        queries, args.seed, nullptr, &reference)
-              : RunOne(setup, n, slots, churn_fraction, pipeline, shards,
+              : RunOne(setup, n, slots, churn_fraction, pipeline, threads,
                        queries, args.seed, &reference, nullptr);
       if (pipeline == 0) sequential_slots_per_sec = row.slots_per_sec;
       row.speedup_vs_sequential =
@@ -193,7 +190,7 @@ int main(int argc, char** argv) {
               : 0.0;
       all_identical = all_identical && row.identical;
       std::printf("%9d %6d %9s %7d %10.1f %12.2f %8.2fx %s\n", row.sensors,
-                  row.slots, row.pipeline == 2 ? "yes" : "no", row.shards,
+                  row.slots, row.pipeline == 2 ? "yes" : "no", row.threads,
                   row.wall_ms, row.slots_per_sec, row.speedup_vs_sequential,
                   row.identical ? "yes" : "NO");
       rows.push_back(row);

@@ -2,10 +2,17 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <string>
 
 #include "common/radix_sort.h"
+#include "core/sieve_streaming.h"
 #include "core/stochastic_greedy.h"
+#include "engine/adaptive_policy.h"
 #include "engine/membership_merge.h"
+#include "engine/serving_engine.h"
 #include "trace/trace_writer.h"
 
 namespace psens {
@@ -43,24 +50,9 @@ class AcquisitionEngine::SlotIndexView : public SpatialIndex {
 
 AcquisitionEngine::AcquisitionEngine(std::vector<Sensor> sensors,
                                      const ServingConfig& config)
-    : AcquisitionEngine(
-          std::make_shared<std::vector<Sensor>>(std::move(sensors)), config,
-          ShardSlice{}) {}
-
-AcquisitionEngine::AcquisitionEngine(
-    std::shared_ptr<std::vector<Sensor>> registry, const ServingConfig& config,
-    const ShardSlice& slice)
     : config_(config),
-      registry_(std::move(registry)),
-      sensors_(*registry_),
-      slice_(slice),
-      journal_repairs_(slice.sharded()) {
-  assert((!slice_.sharded() || config_.incremental) &&
-         "shard engines require incremental mode");
-  Init();
-}
-
-void AcquisitionEngine::Init() {
+      sensors_(std::move(sensors)),
+      last_select_engine_(config.scheduler) {
   const int n = static_cast<int>(sensors_.size());
   for (int i = 0; i < n; ++i) {
     assert(sensors_[i].id() == i && "registry must be id-dense");
@@ -93,27 +85,16 @@ void AcquisitionEngine::Init() {
     header.sample_hint = config_.approx.sample_hint;
     trace_ = TraceWriter::Open(config_.trace_path, header);
   }
-  // A standalone pipelined engine runs its staged repair on its own
-  // single-worker executor (one early task per slot — the overlap comes
-  // from the serving thread's concurrent selection, not intra-repair
-  // parallelism). Shard engines leave graph_ null: the router's executor
-  // drives their EarlyRepairStaged as tasks of its own per-slot graph.
-  if (pipelined_ && !slice_.sharded()) {
-    graph_ = std::make_unique<TaskGraphExecutor>(1);
-  }
+  if (pipelined_) stager_ = std::make_unique<ThreadPool>(1);
   if (!config_.incremental) return;
   changed_flag_.assign(static_cast<size_t>(n), 0);
   cost_dirty_.assign(static_cast<size_t>(n), 0);
   privacy_flag_.assign(static_cast<size_t>(n), 0);
   changed_.reserve(static_cast<size_t>(n));
   if (config_.index_policy != SlotIndexPolicy::kNone) {
-    // A shard engine indexes only its slice, so size the backend for its
-    // expected share of the population.
-    const int expected =
-        slice_.sharded() ? std::max(1, n / slice_.map.shards) : n;
     for (int k = 0; k < nbuf; ++k) {
       buf_[k].index = std::make_unique<DynamicSpatialIndex>(
-          config_.working_region, config_.index_policy, expected);
+          config_.working_region, config_.index_policy, n);
     }
   }
   for (int id = 0; id < n; ++id) {
@@ -224,9 +205,8 @@ void AcquisitionEngine::ApplyIndexOps(SpatialIndex* index,
 
 void AcquisitionEngine::RefreshMember(SlotBuffer& b, int id, int time) {
   const Sensor& s = sensors_[id];
-  const bool member = s.available() &&
-                      config_.working_region.Contains(s.position()) &&
-                      slice_.Owns(s.position());
+  const bool member =
+      s.available() && config_.working_region.Contains(s.position());
   const int pos = b.slot_pos[id];
   if (member && pos < 0) {
     pending_insert_.push_back(id);
@@ -253,7 +233,6 @@ void AcquisitionEngine::RefreshMember(SlotBuffer& b, int id, int time) {
     ss.cost = s.Cost(time);
     b.ctx.slabs.cost[static_cast<size_t>(pos)] = ss.cost;
   }
-  if (journal_repairs_) repairs_.patched.push_back(id);
 }
 
 void AcquisitionEngine::FillInserted(SlotSensor& ss, int id, int time) {
@@ -262,27 +241,12 @@ void AcquisitionEngine::FillInserted(SlotSensor& ss, int id, int time) {
   ss.cost = s.Cost(time);
   ss.inaccuracy = s.profile().inaccuracy;
   ss.trust = s.profile().trust;
-  // A freshly inserted member with decaying privacy history must be on the
-  // refresh list, or its announced cost would freeze at this slot's value.
-  // Matters for cross-shard migrations (the departing shard's refresh
-  // state doesn't travel); behavior-neutral for a standalone engine, where
-  // such a sensor is either still enrolled or its cost has already aged to
-  // the post-window constant.
-  if (!privacy_flag_[id] && PrivacyLevelValue(s.profile().privacy) > 0.0 &&
-      !s.report_history().empty()) {
-    privacy_flag_[id] = 1;
-    privacy_refresh_.push_back(id);
-  }
 }
 
 void AcquisitionEngine::RebuildMembership(SlotBuffer& b, int time) {
   // Both lists were filled walking the sorted changed_.
   assert(std::is_sorted(pending_insert_.begin(), pending_insert_.end()));
   assert(std::is_sorted(pending_remove_.begin(), pending_remove_.end()));
-  if (journal_repairs_) {
-    repairs_.inserted = pending_insert_;
-    repairs_.removed = pending_remove_;
-  }
   MergeSortedMembership(
       &b.ctx.sensors, &merge_scratch_, &b.slot_pos, pending_insert_,
       pending_remove_,
@@ -335,11 +299,6 @@ const SlotContext& AcquisitionEngine::BeginSlot(int time) {
     if (trace_ != nullptr) trace_->BeginSlot(time, b.ctx.approx.slot_seed);
     return b.ctx;
   }
-  if (journal_repairs_) {
-    repairs_.inserted.clear();
-    repairs_.removed.clear();
-    repairs_.patched.clear();
-  }
   b.ctx.time = time;
   b.ctx.arena = &arena_;
   b.ctx.pool = pool_.get();
@@ -373,7 +332,6 @@ const SlotContext& AcquisitionEngine::BeginSlot(int time) {
       b.ctx.sensors[static_cast<size_t>(pos)].cost = s.Cost(time);
       b.ctx.slabs.cost[static_cast<size_t>(pos)] =
           b.ctx.sensors[static_cast<size_t>(pos)].cost;
-      if (journal_repairs_) repairs_.patched.push_back(id);
     }
     const bool decaying =
         !s.report_history().empty() &&
@@ -426,21 +384,21 @@ void AcquisitionEngine::StageNextSlot(int time, const SensorDelta& delta) {
   if (trace_ != nullptr) trace_->StageDelta(delta);
   staged_time_ = time;
   staged_delta_ = delta;
-  assert(graph_ != nullptr &&
-         "shard engines are staged by their router's graph");
-  graph_->AddTask([this] {
+  // The packaged task captures any error into staged_, so the pool's
+  // no-throw task contract holds and ActivateStagedSlot rethrows it.
+  auto task = std::make_shared<std::packaged_task<void()>>([this] {
     ApplyDeltaToRegistry(staged_delta_);
     EarlyRepairStaged(staged_time_);
   });
-  graph_->Launch();
+  staged_ = task->get_future();
+  stager_->Submit([task] { (*task)(); });
 }
 
 void AcquisitionEngine::StageRefreshMember(int id) {
   SlotBuffer& f = buf_[front_];
   const Sensor& s = sensors_[id];
-  const bool member = s.available() &&
-                      config_.working_region.Contains(s.position()) &&
-                      slice_.Owns(s.position());
+  const bool member =
+      s.available() && config_.working_region.Contains(s.position());
   const int pos = f.slot_pos[id];
   if (member && pos < 0) {
     pending_insert_.push_back(id);
@@ -466,7 +424,6 @@ void AcquisitionEngine::StageRefreshMember(int id) {
 }
 
 void AcquisitionEngine::EarlyRepairStaged(int time) {
-  assert(pipelined_ && "staged repair requires double-buffered construction");
   SlotBuffer& f = buf_[front_];
   SlotBuffer& b = buf_[front_ ^ 1];
   if (!config_.incremental) {
@@ -478,11 +435,6 @@ void AcquisitionEngine::EarlyRepairStaged(int time) {
                              config_.dmax, config_.index_policy,
                              config_.index_auto_threshold);
     return;
-  }
-  if (journal_repairs_) {
-    repairs_.inserted.clear();
-    repairs_.removed.clear();
-    repairs_.patched.clear();
   }
   // Catch this buffer's index up: replay the ops the previous staging
   // applied to the other buffer, so both indexes share one op history.
@@ -524,10 +476,6 @@ void AcquisitionEngine::EarlyRepairStaged(int time) {
   // Both lists were filled walking the sorted changed_.
   assert(std::is_sorted(pending_insert_.begin(), pending_insert_.end()));
   assert(std::is_sorted(pending_remove_.begin(), pending_remove_.end()));
-  if (journal_repairs_) {
-    repairs_.inserted = pending_insert_;
-    repairs_.removed = pending_remove_;
-  }
   // Cross-buffer membership merge: always runs (zero events degenerate to
   // a straight copy), rebuilding the back buffer's member array, slabs,
   // and slot_pos from the immutable front state.
@@ -554,7 +502,6 @@ void AcquisitionEngine::EarlyRepairStaged(int time) {
       ss.cost = s.Cost(time);
       b.ctx.slabs.cost[static_cast<size_t>(pos)] = ss.cost;
     }
-    if (journal_repairs_) repairs_.patched.push_back(p.id);
   }
   AttachIndex(b);
 }
@@ -588,17 +535,9 @@ void AcquisitionEngine::LateFeedbackStaged(
   }
 }
 
-void AcquisitionEngine::FlipStaged() {
-  // The ops this staging applied to the (about-to-be) front index await
-  // replay onto the new back index at the next staging.
-  std::swap(replay_log_, op_log_);
-  op_log_.clear();
-  front_ ^= 1;
-}
-
 const SlotContext& AcquisitionEngine::ActivateStagedSlot() {
   if (!pipelined_) return BeginSlot(staged_time_);
-  graph_->Join();  // commit barrier; rethrows staged-task errors
+  if (staged_.valid()) staged_.get();  // commit barrier; rethrows errors
   SlotBuffer& b = buf_[front_ ^ 1];
   LateFeedbackStaged(pending_readings_, staged_time_);
   pending_readings_.clear();
@@ -618,7 +557,11 @@ const SlotContext& AcquisitionEngine::ActivateStagedSlot() {
   if (trace_ != nullptr) {
     trace_->BeginSlot(staged_time_, b.ctx.approx.slot_seed);
   }
-  FlipStaged();
+  // The ops this staging applied to the new front index await replay
+  // onto the new back index at the next staging.
+  std::swap(replay_log_, op_log_);
+  op_log_.clear();
+  front_ ^= 1;
   return buf_[front_].ctx;
 }
 
@@ -665,6 +608,77 @@ const char* AcquisitionEngine::IndexBackendName() const {
   if (!config_.incremental) return "rebuild";
   if (buf_[front_].ctx.index == nullptr) return "none";
   return buf_[front_].ctx.index->Name();
+}
+
+// --- Selection ---------------------------------------------------------------
+
+SelectionResult AcquisitionEngine::Select(
+    const std::vector<MultiQuery*>& queries, const SlotContext& slot,
+    const SensorDelta& delta) {
+  // Replay pinning overrides everything: the recorded run already made
+  // the (wall-clock-dependent) choice, and re-deriving it would diverge.
+  if (pinned_engine_.has_value()) {
+    const GreedyEngine engine = *pinned_engine_;
+    pinned_engine_.reset();
+    SelectionResult r = RunEngine(queries, slot, delta, engine);
+    if (trace_ != nullptr) trace_->StageEngineChoice(engine);
+    return r;
+  }
+  // Adaptive path (ServingConfig::slo_ms > 0): choose, run self-timed,
+  // feed the realized latency back, and record the choice.
+  if (config_.slo_ms > 0.0) {
+    if (policy_ == nullptr) {
+      policy_ = std::make_unique<AdaptivePolicy>(config_.slo_ms,
+                                                 config_.scheduler);
+    }
+    AdaptivePolicy::SlotFeatures features;
+    features.members = static_cast<int>(slot.sensors.size());
+    features.churn = static_cast<int>(
+        delta.arrivals.size() + delta.departures.size() + delta.moves.size() +
+        delta.price_changes.size());
+    features.queries = static_cast<int>(queries.size());
+    const GreedyEngine engine = policy_->Choose(features, last_turnover_ms_);
+    const auto start = std::chrono::steady_clock::now();
+    SelectionResult r = RunEngine(queries, slot, delta, engine);
+    policy_->Observe(engine, features,
+                     std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - start)
+                         .count());
+    if (trace_ != nullptr) trace_->StageEngineChoice(engine);
+    return r;
+  }
+  return RunEngine(queries, slot, delta, config_.scheduler);
+}
+
+SelectionResult AcquisitionEngine::RunEngine(
+    const std::vector<MultiQuery*>& queries, const SlotContext& slot,
+    const SensorDelta& delta, GreedyEngine engine) {
+  const GreedyEngine previous = last_select_engine_;
+  last_select_engine_ = engine;
+  if (engine != GreedyEngine::kSieve) {
+    return GreedySensorSelection(queries, slot, nullptr, engine);
+  }
+  // Re-entering the sieve after another engine's slots: the carried
+  // buckets missed those slots' deltas, so the state is stale — rebuild
+  // (SelectDelta falls back to a full re-stream). Keyed purely on the
+  // choice sequence, so pinned replay choices reproduce the same resets.
+  // A static all-sieve run never transitions and keeps its cross-slot
+  // state exactly as before.
+  if (sieve_ == nullptr || previous != GreedyEngine::kSieve) {
+    sieve_ = std::make_unique<SieveStreamingScheduler>(config_.approx);
+  }
+  return sieve_->SelectDelta(queries, slot, delta);
+}
+
+std::unique_ptr<ServingEngine> MakeServingEngine(std::vector<Sensor> sensors,
+                                                 const ServingConfig& config) {
+  const std::string problem = config.Validate();
+  if (!problem.empty()) {
+    std::fprintf(stderr, "MakeServingEngine: invalid config: %s\n",
+                 problem.c_str());
+    std::abort();
+  }
+  return std::make_unique<AcquisitionEngine>(std::move(sensors), config);
 }
 
 }  // namespace psens

@@ -35,7 +35,7 @@ namespace psens {
 /// observation history). Live runs feed wall-clock observations, so live
 /// choices are machine-dependent — which is exactly why the chosen
 /// engines are recorded per slot in version-2 traces and pinned on
-/// replay (ServingEngine::PinNextSelectEngines) instead of re-derived.
+/// replay (ServingEngine::PinNextSelectEngine) instead of re-derived.
 class AdaptivePolicy {
  public:
   /// Slot features the cost model predicts from.

@@ -195,10 +195,9 @@ void MergeMembership(const std::vector<SlotSensor>& src,
 }  // namespace merge_detail
 
 /// Applies a sorted batch of membership events to a member array sorted
-/// ascending by sensor id — the one merge implementation behind both the
-/// single engine's slot turnover (AcquisitionEngine::RebuildMembership)
-/// and the ShardRouter's cross-shard reconciliation, so the two paths
-/// cannot drift.
+/// ascending by sensor id — the merge behind the engine's sequential slot
+/// turnover (AcquisitionEngine::RebuildMembership); the pipelined path's
+/// MergeSortedMembershipInto shares its kernel, so the two cannot drift.
 ///
 /// Segment merge into a scratch buffer whose capacity persists across
 /// slots: a serial O(k) walk over the k events records the at most k+1

@@ -11,27 +11,6 @@ std::string ServingConfig::Validate() const {
     return "working_region is inverted (max < min)";
   }
   if (threads < 0) return "threads must be >= 0 (0 = hardware concurrency)";
-  if (shards < 1) return "shards must be >= 1";
-  if (shards > 1 && !incremental) {
-    return "sharded serving requires incremental mode (shard engines repair "
-           "ownership-filtered slot state from deltas; the rebuild reference "
-           "path has no ownership filter)";
-  }
-  if (!shard_schedulers.empty()) {
-    if (shards <= 1) {
-      return "shard_schedulers requires shards > 1 (per-shard passes need a "
-             "shard partition to confine eligibility to)";
-    }
-    if (static_cast<int>(shard_schedulers.size()) != shards) {
-      return "shard_schedulers must name exactly one engine per shard";
-    }
-    for (GreedyEngine e : shard_schedulers) {
-      if (e == GreedyEngine::kSieve) {
-        return "shard_schedulers cannot use kSieve (its cross-slot bucket "
-               "state has no per-pass home)";
-      }
-    }
-  }
   if (!(approx.epsilon > 0.0)) return "approx.epsilon must be positive";
   if (approx.min_sample < 1) return "approx.min_sample must be >= 1";
   if (approx.sample_hint < 0) return "approx.sample_hint must be >= 0";

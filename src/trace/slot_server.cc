@@ -115,8 +115,8 @@ ServeLoopResult SlotServer::ServeLoop(SlotInputSource* source,
     do {
       pace(i++);
       if (cur.pin_seed) engine_->PinNextSlotSeed(cur.slot_seed);
-      if (!cur.pin_engines.empty()) {
-        engine_->PinNextSelectEngines(cur.pin_engines);
+      if (cur.pin_engine.has_value()) {
+        engine_->PinNextSelectEngine(*cur.pin_engine);
       }
       result.outcomes.push_back(ServeSlot(cur.time, cur.delta, cur.queries));
     } while (source->Next(&cur));
@@ -140,8 +140,8 @@ ServeLoopResult SlotServer::ServeLoop(SlotInputSource* source,
     {
       const SteadyClock::time_point start = SteadyClock::now();
       if (cur.pin_seed) engine_->PinNextSlotSeed(cur.slot_seed);
-      if (!cur.pin_engines.empty()) {
-        engine_->PinNextSelectEngines(cur.pin_engines);
+      if (cur.pin_engine.has_value()) {
+        engine_->PinNextSelectEngine(*cur.pin_engine);
       }
       slot = &engine_->ActivateStagedSlot();
       out.turnover_ms = MsSince(start);

@@ -288,9 +288,9 @@ void EncodeSlotRecord(const TraceSlotRecord& record, std::string* out,
   // Version >= 2: the adaptive engine-choice section. Version-gated so
   // every v1 record byte stays exactly what the golden fixture pins.
   if (version >= kTraceVersionAdaptive) {
-    PutU32(static_cast<uint32_t>(record.engine_choices.size()), out);
-    for (GreedyEngine e : record.engine_choices) {
-      PutI32(static_cast<int32_t>(e), out);
+    PutU32(record.engine_choice.has_value() ? 1u : 0u, out);
+    if (record.engine_choice.has_value()) {
+      PutI32(static_cast<int32_t>(*record.engine_choice), out);
     }
   }
 }
@@ -379,15 +379,19 @@ bool DecodeSlotRecord(const char* data, size_t size, TraceSlotRecord* record,
       return false;
     }
   }
-  record->engine_choices.clear();
+  record->engine_choice.reset();
   if (version >= kTraceVersionAdaptive) {
     if (!c.GetCount(sizeof(int32_t), &n)) {
       *error = "corrupt slot record: engine-choice count exceeds record "
                "payload";
       return false;
     }
-    record->engine_choices.resize(n);
-    for (GreedyEngine& e : record->engine_choices) {
+    if (n > 1) {
+      *error = "corrupt slot record: " + std::to_string(n) +
+               " engine choices (a slot runs one Select)";
+      return false;
+    }
+    if (n == 1) {
       int32_t raw = 0;
       c.GetI32(&raw);
       if (raw < static_cast<int32_t>(GreedyEngine::kLazy) ||
@@ -396,7 +400,7 @@ bool DecodeSlotRecord(const char* data, size_t size, TraceSlotRecord* record,
                  " out of range";
         return false;
       }
-      e = static_cast<GreedyEngine>(raw);
+      record->engine_choice = static_cast<GreedyEngine>(raw);
     }
   }
   if (!c.AtEnd()) {

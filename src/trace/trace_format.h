@@ -2,6 +2,7 @@
 #define PSENS_TRACE_TRACE_FORMAT_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,8 +37,9 @@ namespace psens {
 ///            u64 slot_seed |
 ///            u32 n + entries for: arrivals, departures, moves,
 ///            price_changes, point queries, aggregate queries
-///            [version >= 2] u32 n + i32 engine per adaptive engine
-///            choice (empty on slots where Select never ran)
+///            [version >= 2] u32 n (0 or 1) + i32 engine: the slot's
+///            adaptive engine choice (n = 0 on slots where Select
+///            never ran)
 ///
 /// Version 2 (kTraceVersionAdaptive) appends the per-slot engine-choice
 /// section so an adaptively scheduled run (ServingConfig::slo_ms) can be
@@ -89,13 +91,12 @@ struct TraceSlotRecord {
   SensorDelta delta;
   std::vector<PointQuery> point_queries;
   std::vector<AggregateQuery::Params> aggregate_queries;
-  /// Version >= 2 only: the engines the adaptive policy chose for this
-  /// slot's Select — one entry in single-engine mode, one per shard pass
-  /// under shard_schedulers, empty when Select never ran (query-free
-  /// slots) or the run was not adaptive. Replay pins them
-  /// (ServingEngine::PinNextSelectEngines) so the schedule reproduces
-  /// bit for bit.
-  std::vector<GreedyEngine> engine_choices;
+  /// Version >= 2 only: the engine the adaptive policy chose for this
+  /// slot's Select, absent when Select never ran (query-free slots) or
+  /// the run was not adaptive. Replay pins it
+  /// (ServingEngine::PinNextSelectEngine) so the schedule reproduces bit
+  /// for bit.
+  std::optional<GreedyEngine> engine_choice;
 };
 
 /// Fully decoded trace.
@@ -121,7 +122,8 @@ void EncodeSlotRecord(const TraceSlotRecord& record, std::string* out,
 /// Decodes one slot-record payload (the bytes after payload_bytes) laid
 /// out per `version` (the containing trace header's). Returns false and
 /// sets `*error` on any malformed input — bad magic, counts exceeding
-/// the payload, trailing bytes — without reading out of bounds.
+/// the payload, more than one engine choice, trailing bytes — without
+/// reading out of bounds.
 bool DecodeSlotRecord(const char* data, size_t size, TraceSlotRecord* record,
                       std::string* error, uint32_t version = kTraceVersion);
 

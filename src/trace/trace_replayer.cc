@@ -105,9 +105,9 @@ class RecordInputSource : public SlotInputSource {
     out->queries.aggregates = std::move(record->aggregate_queries);
     out->pin_seed = pin_seeds_;
     out->slot_seed = record->slot_seed;
-    // Version-2 (adaptive) traces carry the recorded engine choices;
-    // ServeLoop pins them so the replayed schedule matches bit for bit.
-    out->pin_engines = std::move(record->engine_choices);
+    // Version-2 (adaptive) traces carry the recorded engine choice;
+    // ServeLoop pins it so the replayed schedule matches bit for bit.
+    out->pin_engine = record->engine_choice;
     ++i_;
     return true;
   }
@@ -217,8 +217,8 @@ ReplayResult TraceReplayer::Replay(const TraceFile& trace,
       std::this_thread::sleep_until(due);
     }
     if (config_.pin_slot_seeds) engine->PinNextSlotSeed(record->slot_seed);
-    if (!record->engine_choices.empty()) {
-      engine->PinNextSelectEngines(std::move(record->engine_choices));
+    if (record->engine_choice.has_value()) {
+      engine->PinNextSelectEngine(*record->engine_choice);
     }
     SlotQueryBatch batch;
     batch.points = std::move(record->point_queries);

@@ -26,14 +26,12 @@ struct ReplayConfig {
   /// the replaying engine derives seeds from its own base seed — the
   /// knob the seed-persistence regression test flips.
   bool pin_slot_seeds = true;
-  /// Serving stack for the replaying engine (scheduler, threads, shards,
-  /// incremental mode, readings feedback). The working region, dmax, and
-  /// the approx epsilon/min_sample/sample_hint always come from the
-  /// trace header; the base approx seed does too unless
+  /// Serving stack for the replaying engine (scheduler, threads,
+  /// pipeline depth, incremental mode, readings feedback). The working
+  /// region, dmax, and the approx epsilon/min_sample/sample_hint always
+  /// come from the trace header; the base approx seed does too unless
   /// override_approx_seed imposes serving.approx.seed instead (see
-  /// pin_slot_seeds). A trace recorded under any shard count replays
-  /// under any other — serving.shards only picks the replaying
-  /// deployment.
+  /// pin_slot_seeds).
   ServingConfig serving;
   bool override_approx_seed = false;
 };

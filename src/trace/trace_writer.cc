@@ -25,7 +25,7 @@ void ClearRecord(TraceSlotRecord* record) {
   record->delta.price_changes.clear();
   record->point_queries.clear();
   record->aggregate_queries.clear();
-  record->engine_choices.clear();
+  record->engine_choice.reset();
 }
 
 bool WriteRecord(std::FILE* file, const TraceSlotRecord& record,
@@ -122,19 +122,19 @@ void TraceWriter::StageAggregateQueries(
                                  queries.begin(), queries.end());
 }
 
-void TraceWriter::StageEngineChoices(const std::vector<GreedyEngine>& engines) {
+void TraceWriter::StageEngineChoice(GreedyEngine engine) {
   if (file_ == nullptr) return;
   if (version_ < kTraceVersionAdaptive) return;
   if (!slot_open_) {
     if (!warned_no_slot_) {
       std::fprintf(stderr,
-                   "TraceWriter: engine choices staged before the first "
+                   "TraceWriter: an engine choice staged before the first "
                    "BeginSlot are dropped\n");
       warned_no_slot_ = true;
     }
     return;
   }
-  open_.engine_choices = engines;
+  open_.engine_choice = engine;
 }
 
 void TraceWriter::FlushOpenSlot() {
@@ -176,8 +176,8 @@ bool WriteTraceFile(const std::string& path, const TraceData& data) {
     writer->BeginSlot(slot.time, slot.slot_seed);
     writer->StagePointQueries(slot.point_queries);
     writer->StageAggregateQueries(slot.aggregate_queries);
-    if (!slot.engine_choices.empty()) {
-      writer->StageEngineChoices(slot.engine_choices);
+    if (slot.engine_choice.has_value()) {
+      writer->StageEngineChoice(*slot.engine_choice);
     }
   }
   return writer->Finish();

@@ -54,11 +54,11 @@ class TraceWriter {
   void StageAggregateQueries(
       const std::vector<AggregateQuery::Params>& queries);
 
-  /// Attach the adaptive policy's engine choices to the open slot record
+  /// Attach the adaptive policy's engine choice to the open slot record
   /// (ServingEngine::Select calls this as it dispatches). Recorded only
   /// when the trace was opened at kTraceVersionAdaptive or later — on a
   /// version-1 writer this is a no-op, keeping v1 bytes choice-free.
-  void StageEngineChoices(const std::vector<GreedyEngine>& engines);
+  void StageEngineChoice(GreedyEngine engine);
 
   /// Flushes the open record, patches the header's slot count, and
   /// closes the file. Idempotent. Returns false if any write failed.

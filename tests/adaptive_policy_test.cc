@@ -173,12 +173,11 @@ TEST(AdaptiveTraceTest, AdaptiveRunRecordsVersion2WithPerSlotChoices) {
     ASSERT_TRUE(trace.DecodeSlot(i, &record, &error)) << error;
     if (i == 0) {
       // The cold build binds no queries, so no engine ran.
-      EXPECT_TRUE(record.engine_choices.empty());
+      EXPECT_FALSE(record.engine_choice.has_value());
     } else {
-      ASSERT_EQ(record.engine_choices.size(), 1u) << "slot " << i;
+      ASSERT_TRUE(record.engine_choice.has_value()) << "slot " << i;
       // A generous SLO never leaves the configured ceiling.
-      EXPECT_EQ(record.engine_choices[0], GreedyEngine::kLazy)
-          << "slot " << i;
+      EXPECT_EQ(*record.engine_choice, GreedyEngine::kLazy) << "slot " << i;
     }
   }
   std::remove(path.c_str());
@@ -198,7 +197,7 @@ TEST(AdaptiveTraceTest, StaticRunStillRecordsVersion1) {
   EXPECT_EQ(trace.header().version, kTraceVersion);
   TraceSlotRecord record;
   ASSERT_TRUE(trace.DecodeSlot(1, &record, &error)) << error;
-  EXPECT_TRUE(record.engine_choices.empty());
+  EXPECT_FALSE(record.engine_choice.has_value());
   std::remove(path.c_str());
 }
 
@@ -238,8 +237,8 @@ TEST(AdaptiveTraceTest, TightSloDegradesToTheSieveFloor) {
   ASSERT_TRUE(
       trace.DecodeSlot(trace.num_slots() - 1, &record, &error))
       << error;
-  ASSERT_EQ(record.engine_choices.size(), 1u);
-  EXPECT_EQ(record.engine_choices[0], GreedyEngine::kSieve);
+  ASSERT_TRUE(record.engine_choice.has_value());
+  EXPECT_EQ(*record.engine_choice, GreedyEngine::kSieve);
   std::remove(path.c_str());
 }
 

@@ -5,7 +5,7 @@
 // every slot, across schedulers, under zero churn (mobility trace only)
 // and under full churn streams, including feedback populations whose
 // announced costs drift with readings (privacy decay, linear energy,
-// wear-out).
+// wear-out). Also here: the ServingConfig::Validate contract.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +19,7 @@
 #include "core/slot.h"
 #include "engine/acquisition_engine.h"
 #include "engine/membership_merge.h"
+#include "engine/serving_config.h"
 #include "mobility/random_waypoint.h"
 #include "sim/workload.h"
 #include "trace/closed_loop.h"
@@ -628,9 +629,9 @@ TEST(StreamingEquivalenceTest, DepartedSensorsLeaveTheSlot) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined serving (ServingConfig::pipeline == 2) overlaps slot t+1's
+// Pipelined serving (ServingConfig::pipeline == 2) runs slot t+1's
 // staged turnover — delta apply, membership repair, slab rebuild, index
-// maintenance — with slot t's selection on a task-graph worker. The
+// maintenance — on the staging worker while slot t's selection runs. The
 // commit barrier must make the overlap invisible: every outcome field
 // (selections, values, costs, valuation-call counts, payments) is
 // bit-identical to the sequential schedule.
@@ -717,8 +718,8 @@ TEST(PipelinedEquivalenceTest, MatchesSequentialInRebuildMode) {
 }
 
 TEST(PipelinedEquivalenceTest, MatchesSequentialAcrossThreadCounts) {
-  // The selection thread pool and the turnover task graph share nothing
-  // but the barrier; worker count must not leak into outcomes.
+  // The selection thread pool and the staging worker share nothing but
+  // the barrier; worker count must not leak into outcomes.
   SensorPopulationConfig profile;
   profile.linear_energy = true;
   const ChurnScenarioSetup setup = MakeChurnScenario(
@@ -730,6 +731,65 @@ TEST(PipelinedEquivalenceTest, MatchesSequentialAcrossThreadCounts) {
     config.serving.threads = threads;
     ExpectPipelinedMatchesSequential(setup, config);
   }
+}
+
+TEST(ServingConfigTest, ValidateAcceptsDefaultsAndBuilderChains) {
+  EXPECT_TRUE(ServingConfig().Validate().empty());
+  const ServingConfig built = ServingConfig()
+                                  .WithRegion(Rect{0, 0, 100, 100})
+                                  .WithDmax(8.0)
+                                  .WithScheduler(GreedyEngine::kSieve)
+                                  .WithThreads(0)
+                                  .WithEpsilon(0.2)
+                                  .WithApproxSeed(9)
+                                  .WithRecordReadings(false);
+  EXPECT_TRUE(built.Validate().empty()) << built.Validate();
+  EXPECT_EQ(built.scheduler, GreedyEngine::kSieve);
+  EXPECT_EQ(built.threads, 0);
+  EXPECT_EQ(built.approx.epsilon, 0.2);
+  EXPECT_FALSE(built.record_readings);
+}
+
+TEST(ServingConfigTest, ValidateRejectsBrokenConfigs) {
+  EXPECT_FALSE(ServingConfig().WithDmax(0.0).Validate().empty());
+  EXPECT_FALSE(
+      ServingConfig().WithRegion(Rect{10, 0, 0, 10}).Validate().empty());
+  EXPECT_FALSE(ServingConfig().WithThreads(-1).Validate().empty());
+  EXPECT_FALSE(ServingConfig().WithEpsilon(0.0).Validate().empty());
+}
+
+TEST(ServingConfigTest, ValidateChecksPipelineDepth) {
+  // 0/1 mean sequential; 2 is the double-buffered overlap.
+  EXPECT_TRUE(ServingConfig().WithPipeline(0).Validate().empty());
+  EXPECT_TRUE(ServingConfig().WithPipeline(1).Validate().empty());
+  EXPECT_TRUE(ServingConfig().WithPipeline(2).Validate().empty());
+  EXPECT_FALSE(ServingConfig().WithPipeline(-1).Validate().empty());
+  // Depth > 2 would freeze slot t+2's announcements before slot t's
+  // readings land — rejected, not silently clamped.
+  EXPECT_FALSE(ServingConfig().WithPipeline(3).Validate().empty());
+  EXPECT_FALSE(ServingConfig().WithPipeline(4).Validate().empty());
+}
+
+TEST(ServingConfigTest, ValidateRejectsPipelinedReadingsInRebuildMode) {
+  // The rebuild reference path re-announces every sensor in the early
+  // (overlapped) phase, before the current slot's readings commit; the
+  // reordering combo is rejected. Dropping either side is fine.
+  EXPECT_FALSE(ServingConfig()
+                   .WithPipeline(2)
+                   .WithIncremental(false)
+                   .Validate()
+                   .empty());
+  EXPECT_TRUE(ServingConfig()
+                  .WithPipeline(2)
+                  .WithIncremental(false)
+                  .WithRecordReadings(false)
+                  .Validate()
+                  .empty());
+  EXPECT_TRUE(ServingConfig()
+                  .WithPipeline(2)
+                  .WithIncremental(true)
+                  .Validate()
+                  .empty());
 }
 
 }  // namespace

@@ -390,6 +390,43 @@ TEST(TraceFormatStandaloneTest, HostileAggregateParamsRejected) {
   EXPECT_EQ(decoded.aggregate_queries.size(), 3u);
 }
 
+TEST(TraceFormatStandaloneTest, EngineChoiceCountIsZeroOrOne) {
+  // Version-2 records carry u32 count + i32 entries; a slot runs one
+  // Select, so counts 0 and 1 round-trip and anything larger is rejected.
+  for (const bool chosen : {false, true}) {
+    TraceSlotRecord record;
+    record.time = 4;
+    if (chosen) record.engine_choice = GreedyEngine::kSieve;
+    std::string bytes;
+    EncodeSlotRecord(record, &bytes, kTraceVersionAdaptive);
+    TraceSlotRecord decoded;
+    std::string error;
+    ASSERT_TRUE(DecodeSlotRecord(bytes.data(), bytes.size(), &decoded, &error,
+                                 kTraceVersionAdaptive))
+        << error;
+    EXPECT_EQ(decoded.engine_choice, record.engine_choice);
+    std::string reencoded;
+    EncodeSlotRecord(decoded, &reencoded, kTraceVersionAdaptive);
+    EXPECT_EQ(reencoded, bytes);
+  }
+  // A one-choice record ends "u32 count=1 | i32 engine"; rewrite the
+  // tail to count=2 with two in-range entries.
+  TraceSlotRecord record;
+  record.engine_choice = GreedyEngine::kLazy;
+  std::string bytes;
+  EncodeSlotRecord(record, &bytes, kTraceVersionAdaptive);
+  bytes.resize(bytes.size() - 8);
+  const uint32_t lazy = static_cast<uint32_t>(GreedyEngine::kLazy);
+  AppendU32LE(2, &bytes);
+  AppendU32LE(lazy, &bytes);
+  AppendU32LE(lazy, &bytes);
+  TraceSlotRecord decoded;
+  std::string error;
+  EXPECT_FALSE(DecodeSlotRecord(bytes.data(), bytes.size(), &decoded, &error,
+                                kTraceVersionAdaptive));
+  EXPECT_NE(error.find("2 engine choices"), std::string::npos) << error;
+}
+
 TEST(TraceFormatStandaloneTest, MissingFileIsACleanError) {
   TraceFile trace;
   std::string error;
