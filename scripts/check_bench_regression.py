@@ -46,18 +46,12 @@ BENCH_pr.json artifact and diffs it against the committed baseline
      deterministic for a fixed seed on every host) must equal the
      committed baseline digest — a changed digest means a kernel changed
      an answer, which requires an explicit --update to bless;
- 11. when --fig17 is given: the pipelined-serving gate — any row whose
-     pipelined outcomes were not bit-identical to the sequential twin
-     (`identical: false`) fails, zero tolerance, on every host; and the
-     1-thread pipelined row at the gate population (100k sensors) must
-     show a sustained-throughput speedup of at least --min-fig17-speedup
-     (default 1.3x) over its sequential twin. The speedup check is
-     hardware-gated like the fig12 parallel gate: the overlap needs a
-     second core for the staging worker, so it arms only when the host
-     has at least 2 hardware threads (a 1-core container time-slices the
-     overlap and only warns), and --update refuses to record rows whose
-     threads (plus the staging worker) exceed the host's into the
-     baseline;
+ 11. when --fig17 is given: the threads-sweep gate — any row whose
+     outcomes were not bit-identical to the 1-thread row
+     (`identical: false`) fails, zero tolerance, on every host; wall
+     times diff against the baseline like other time metrics, and
+     --update refuses to record rows whose threads exceed the host's
+     hardware threads into the baseline;
   8. when --fig14 is given: the record/replay gate — any engine row whose
      trace replay was not bit-identical to the live closed-loop run
      (`identical: false`) fails, zero tolerance, on every host; and the
@@ -114,7 +108,7 @@ Usage:
       [--min-fig13-speedup 3] [--min-fig13-utility 0.95]
       [--min-sieve-utility 0.8] [--min-sieve-speedup 20]
       [--min-fig14-speedup 0.9]
-      [--min-soa-speedup 1.5] [--min-fig17-speedup 1.3]
+      [--min-soa-speedup 1.5]
       [--min-fig18-hit-rate 0.95]
       [--tolerance 0.2] [--strict-time] [--update]
 
@@ -146,14 +140,13 @@ def google_benchmark_times(doc):
 
 
 def fig17_key(r):
-    return (r["sensors"], r.get("pipeline", 0), r.get("threads", 1),
-            r.get("slots", 0), r.get("queries", 0))
+    return (r["sensors"], r.get("threads", 1), r.get("slots", 0),
+            r.get("queries", 0))
 
 
 def fig17_needed(r):
-    """Hardware threads a fig17 row needs: its serving threads, plus the
-    staging worker when pipelined."""
-    return max(1, r.get("threads", 1)) + (1 if r.get("pipeline", 0) == 2 else 0)
+    """Hardware threads a fig17 row needs: its serving threads."""
+    return max(1, r.get("threads", 1))
 
 
 def main():
@@ -163,7 +156,7 @@ def main():
     ap.add_argument("--fig13", help="fig13_approx_quality --json output")
     ap.add_argument("--fig14", help="fig14_replay --json output")
     ap.add_argument("--fig16", help="fig16_kernel_microbench --json output")
-    ap.add_argument("--fig17", help="fig17_pipeline_throughput --json output")
+    ap.add_argument("--fig17", help="fig17_threads_throughput --json output")
     ap.add_argument("--fig18", help="fig18_adaptive_slo --json output")
     ap.add_argument("--schedulers", help="bench_schedulers --benchmark_out JSON")
     ap.add_argument("--baseline", required=True)
@@ -197,13 +190,6 @@ def main():
     # percent against each other on shared runners.
     ap.add_argument("--min-fig14-speedup", type=float, default=0.9)
     ap.add_argument("--min-parallel-speedup", type=float, default=2.0)
-    # 1.3x, well under the ~1.6-1.8x a full turnover/selection overlap
-    # can reach: the pipelined win is bounded by the *shorter* of the two
-    # overlapped phases (Amdahl over the slot cycle), and the gate
-    # scenario's turnover/selection split shifts with allocator and cache
-    # behaviour across hosts. The floor asserts the overlap is real, not
-    # that it is perfectly balanced.
-    ap.add_argument("--min-fig17-speedup", type=float, default=1.3)
     # Same-process ratio (the AoS pass and the slab pass are timed in one
     # binary run), so the floor is host-normalized by construction;
     # 1.5x sits well under the ~2x measured on the gate scenario.
@@ -303,8 +289,8 @@ def main():
             updated["fig12_parallel"] = kept
         if fig17 is not None:
             # Same hardware rule as the fig12 parallel rows: a row
-            # measured without the cores for its threads (plus the
-            # staging worker) records a meaningless ~1x speedup.
+            # measured without the cores for its threads records a
+            # meaningless ~1x speedup.
             old_fig17 = {fig17_key(r): r for r in (old.get("fig17") or [])}
             kept17 = []
             for r in pr["fig17"]:
@@ -318,7 +304,6 @@ def main():
                         prev.get("hardware_threads", 0) < fig17_needed(prev)):
                     prev = None  # the committed row is itself misleading
                 print(f"warning: fig17 n={r['sensors']} "
-                      f"pipeline={r.get('pipeline', 0)} "
                       f"threads={r.get('threads', 1)}: host has {hardware} "
                       f"hardware thread(s), row needs {needed}; NOT "
                       "recording its throughput into the baseline"
@@ -447,42 +432,17 @@ def main():
             failures.append(
                 "fig14 produced no gate row (lazy @ 100k sensors)")
 
-    # 11. fig17 pipelined-serving gate (only when the run provided it).
+    # 11. fig17 threads-sweep gate (only when the run provided it):
+    # bit-equality against the 1-thread row, fatal on every host, every
+    # population, every thread count.
     if fig17 is not None:
+        if not pr["fig17"]:
+            failures.append("fig17 produced no results")
         for r in pr["fig17"]:
-            # Bit-equality against the sequential twin: fatal on every
-            # host, every population, every thread count.
             if not r.get("identical", False):
                 failures.append(
-                    f"fig17 n={r['sensors']} pipeline={r.get('pipeline', 0)} "
-                    f"threads={r.get('threads', 1)}: pipelined outcomes "
-                    "diverged from the sequential schedule")
-        gate = [r for r in pr["fig17"]
-                if r["sensors"] == 100_000 and r.get("pipeline", 0) == 2
-                and r.get("threads", 1) == 1]
-        if not gate:
-            failures.append(
-                "fig17 produced no gate row (pipelined, 1 thread @ 100k "
-                "sensors) — was the population capped?")
-        for r in gate:
-            hardware = r.get("hardware_threads", 0)
-            if hardware < 2:
-                # The overlap needs a second core for the staging
-                # worker; a 1-core host time-slices the two phases and
-                # cannot exhibit the speedup by construction.
-                warnings.append(
-                    f"fig17 n={r['sensors']}: pipelined speedup check "
-                    f"SKIPPED — host has {hardware} hardware thread(s), "
-                    "gate needs >= 2 (bit-equality still enforced)")
-            elif r["speedup_vs_sequential"] < args.min_fig17_speedup:
-                failures.append(
-                    f"fig17 n={r['sensors']}: pipelined sustained "
-                    f"throughput {r['speedup_vs_sequential']:.2f}x "
-                    f"sequential < required {args.min_fig17_speedup:.2f}x")
-            else:
-                print(f"ok: fig17 n={r['sensors']} pipelined throughput "
-                      f"{r['speedup_vs_sequential']:.2f}x sequential "
-                      f"(>= {args.min_fig17_speedup:.2f}x)")
+                    f"fig17 n={r['sensors']} threads={r.get('threads', 1)}: "
+                    "outcomes diverged from the 1-thread run")
 
     # 12. fig18 adaptive-SLO gate (only when the run provided it).
     if fig18 is not None:
@@ -804,7 +764,7 @@ def main():
                     (failures if args.strict_time else warnings).append(msg)
 
         # fig17: normalized closed-loop wall time per (population,
-        # pipeline, threads) shape. Skipped for rows the current host could
+        # threads) shape. Skipped for rows the current host could
         # not run at full width (hardware below the row's thread need) —
         # their wall time says nothing about the path they measure.
         base_fig17 = {fig17_key(r): r for r in base.get("fig17", [])}
@@ -815,7 +775,6 @@ def main():
             b = base_fig17.get(fig17_key(r))
             if b is None:
                 warnings.append(f"fig17 n={r['sensors']} "
-                                f"pipeline={r.get('pipeline', 0)} "
                                 f"threads={r.get('threads', 1)}: "
                                 "not in baseline")
                 continue
@@ -825,7 +784,6 @@ def main():
                 norm_base = b["wall_ms"] / base["cal_ms"]
                 if norm_base > 0 and norm_pr > norm_base * limit:
                     msg = (f"fig17 n={r['sensors']} "
-                           f"pipeline={r.get('pipeline', 0)} "
                            f"threads={r.get('threads', 1)}: normalized "
                            f"closed-loop time {norm_pr:.4f} > {limit:.2f}x "
                            f"baseline {norm_base:.4f}")

@@ -55,12 +55,11 @@ run fig14_replay --json "$LOG_DIR/fig14_nightly.json" \
 # row per query type. Exits non-zero by itself if any slab outcome is not
 # bit-identical to the scalar reference.
 run fig16_kernel_microbench --json "$LOG_DIR/fig16_nightly.json"
-# Pipelined slot execution: sequential-vs-pipelined sustained slots/sec
-# at 100k/1M under 1% churn, at 1 and 4 threads, with the fatal
-# bit-equality column. Exits
-# non-zero by itself if any pipelined outcome diverges from its
-# sequential twin.
-run fig17_pipeline_throughput --json "$LOG_DIR/fig17_nightly.json"
+# Serving threads sweep: sustained closed-loop slots/sec at 100k/1M under
+# 1% churn, at 1 and 4 threads, with the fatal bit-equality column. Exits
+# non-zero by itself if the 4-thread outcomes diverge from the 1-thread
+# run.
+run fig17_threads_throughput --json "$LOG_DIR/fig17_nightly.json"
 # Adaptive SLO scheduling: base -> spike -> recover loops at the full
 # population, static-vs-adaptive hit rates plus the fatal
 # replay-identity column. Exits non-zero by itself if any adaptive run

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "common/radix_sort.h"
 #include "core/sieve_streaming.h"
@@ -58,14 +59,10 @@ AcquisitionEngine::AcquisitionEngine(std::vector<Sensor> sensors,
     assert(sensors_[i].id() == i && "registry must be id-dense");
     (void)i;
   }
-  pipelined_ = config_.pipeline == 2;
-  const int nbuf = pipelined_ ? 2 : 1;
-  for (int k = 0; k < nbuf; ++k) {
-    buf_[k].ctx.dmax = config_.dmax;
-    buf_[k].ctx.index_policy = config_.index_policy;
-    buf_[k].ctx.index_auto_threshold = config_.index_auto_threshold;
-    buf_[k].slot_pos.assign(static_cast<size_t>(n), -1);
-  }
+  ctx_.dmax = config_.dmax;
+  ctx_.index_policy = config_.index_policy;
+  ctx_.index_auto_threshold = config_.index_auto_threshold;
+  slot_pos_.assign(static_cast<size_t>(n), -1);
   if (config_.threads != 1) {
     pool_ = std::make_unique<ThreadPool>(config_.threads);
   }
@@ -85,17 +82,14 @@ AcquisitionEngine::AcquisitionEngine(std::vector<Sensor> sensors,
     header.sample_hint = config_.approx.sample_hint;
     trace_ = TraceWriter::Open(config_.trace_path, header);
   }
-  if (pipelined_) stager_ = std::make_unique<ThreadPool>(1);
   if (!config_.incremental) return;
   changed_flag_.assign(static_cast<size_t>(n), 0);
   cost_dirty_.assign(static_cast<size_t>(n), 0);
   privacy_flag_.assign(static_cast<size_t>(n), 0);
   changed_.reserve(static_cast<size_t>(n));
   if (config_.index_policy != SlotIndexPolicy::kNone) {
-    for (int k = 0; k < nbuf; ++k) {
-      buf_[k].index = std::make_unique<DynamicSpatialIndex>(
-          config_.working_region, config_.index_policy, n);
-    }
+    index_ = std::make_unique<DynamicSpatialIndex>(config_.working_region,
+                                                   config_.index_policy, n);
   }
   for (int id = 0; id < n; ++id) {
     MarkChanged(id, /*cost_dirty=*/true);
@@ -203,11 +197,11 @@ void AcquisitionEngine::ApplyIndexOps(SpatialIndex* index,
   }
 }
 
-void AcquisitionEngine::RefreshMember(SlotBuffer& b, int id, int time) {
+void AcquisitionEngine::RefreshMember(int id, int time) {
   const Sensor& s = sensors_[id];
   const bool member =
       s.available() && config_.working_region.Contains(s.position());
-  const int pos = b.slot_pos[id];
+  const int pos = slot_pos_[id];
   if (member && pos < 0) {
     pending_insert_.push_back(id);
     index_ops_.push_back(IndexOp{IndexOp::kInsert, id, s.position()});
@@ -222,16 +216,16 @@ void AcquisitionEngine::RefreshMember(SlotBuffer& b, int id, int time) {
   }
   // Continuing member: patch announcement in place — slab row included,
   // so the SoA columns stay in lockstep without a rebuild.
-  SlotSensor& ss = b.ctx.sensors[static_cast<size_t>(pos)];
+  SlotSensor& ss = ctx_.sensors[static_cast<size_t>(pos)];
   if (!(ss.location == s.position())) {
     ss.location = s.position();
-    b.ctx.slabs.x[static_cast<size_t>(pos)] = ss.location.x;
-    b.ctx.slabs.y[static_cast<size_t>(pos)] = ss.location.y;
+    ctx_.slabs.x[static_cast<size_t>(pos)] = ss.location.x;
+    ctx_.slabs.y[static_cast<size_t>(pos)] = ss.location.y;
     index_ops_.push_back(IndexOp{IndexOp::kMove, id, s.position()});
   }
   if (cost_dirty_[id] || privacy_flag_[id]) {
     ss.cost = s.Cost(time);
-    b.ctx.slabs.cost[static_cast<size_t>(pos)] = ss.cost;
+    ctx_.slabs.cost[static_cast<size_t>(pos)] = ss.cost;
   }
 }
 
@@ -243,75 +237,65 @@ void AcquisitionEngine::FillInserted(SlotSensor& ss, int id, int time) {
   ss.trust = s.profile().trust;
 }
 
-void AcquisitionEngine::RebuildMembership(SlotBuffer& b, int time) {
+void AcquisitionEngine::RebuildMembership(int time) {
   // Both lists were filled walking the sorted changed_.
   assert(std::is_sorted(pending_insert_.begin(), pending_insert_.end()));
   assert(std::is_sorted(pending_remove_.begin(), pending_remove_.end()));
   MergeSortedMembership(
-      &b.ctx.sensors, &merge_scratch_, &b.slot_pos, pending_insert_,
+      &ctx_.sensors, &merge_scratch_, &slot_pos_, pending_insert_,
       pending_remove_,
       [&](SlotSensor& ss, int id) { FillInserted(ss, id, time); },
-      &b.ctx.slabs, &slab_scratch_, pool_.get(), [&] {
+      &ctx_.slabs, &slab_scratch_, pool_.get(), [&] {
         // Latency-bound and id-keyed, the ops run while the copy saturates
         // memory bandwidth; on this thread, so grid-cell spills are not
         // allocated from pool workers' malloc arenas.
-        ApplyIndexOps(b.index.get(), index_ops_);
+        ApplyIndexOps(index_.get(), index_ops_);
         index_ops_.clear();
       });
   pending_insert_.clear();
   pending_remove_.clear();
 }
 
-void AcquisitionEngine::AttachIndex(SlotBuffer& b) {
-  const int n = static_cast<int>(b.ctx.sensors.size());
+void AcquisitionEngine::AttachIndex() {
+  const int n = static_cast<int>(ctx_.sensors.size());
   const bool want =
-      b.index != nullptr && n > 0 &&
+      index_ != nullptr && n > 0 &&
       !(config_.index_policy == SlotIndexPolicy::kAuto &&
         n < config_.index_auto_threshold);
   if (!want) {
-    b.ctx.index.reset();
+    ctx_.index.reset();
     return;
   }
-  if (b.view == nullptr) {
-    b.view = std::make_shared<SlotIndexView>(b.index.get(), &b.slot_pos);
+  if (view_ == nullptr) {
+    view_ = std::make_shared<SlotIndexView>(index_.get(), &slot_pos_);
   }
-  b.ctx.index = b.view;
+  ctx_.index = view_;
 }
 
 const SlotContext& AcquisitionEngine::BeginSlot(int time) {
-  SlotBuffer& b = buf_[front_];
   // Per-slot scratch dies here: everything the previous slot's selection
   // carved from the arena (candidate plans, evaluator buffers, gain
   // scratch) is invalidated in one pointer reset.
   arena_.Reset();
   if (!config_.incremental) {
-    b.ctx = BuildSlotContext(sensors_, config_.working_region, time,
-                             config_.dmax, config_.index_policy,
-                             config_.index_auto_threshold);
-    b.ctx.arena = &arena_;  // the assignment above wiped the stamp
-    b.ctx.pool = pool_.get();
-    b.ctx.approx = config_.approx;
-    b.ctx.approx.slot_seed = ApproxSlotSeed(config_.approx, time);
-    if (has_pinned_slot_seed_) {
-      b.ctx.approx.slot_seed = pinned_slot_seed_;
-      has_pinned_slot_seed_ = false;
-    }
-    if (trace_ != nullptr) trace_->BeginSlot(time, b.ctx.approx.slot_seed);
-    return b.ctx;
+    ctx_ = BuildSlotContext(sensors_, config_.working_region, time,
+                            config_.dmax, config_.index_policy,
+                            config_.index_auto_threshold);
   }
-  b.ctx.time = time;
-  b.ctx.arena = &arena_;
-  b.ctx.pool = pool_.get();
+  ctx_.time = time;
+  ctx_.arena = &arena_;
+  ctx_.pool = pool_.get();
   // Pin the approximate schedulers' per-slot stream: both engine modes
   // stamp the identical derived seed, so approximate selections agree
   // between incremental and rebuild serving bit for bit.
-  b.ctx.approx = config_.approx;
-  b.ctx.approx.slot_seed = ApproxSlotSeed(config_.approx, time);
+  ctx_.approx = config_.approx;
+  ctx_.approx.slot_seed = ApproxSlotSeed(config_.approx, time);
   if (has_pinned_slot_seed_) {
-    b.ctx.approx.slot_seed = pinned_slot_seed_;
+    ctx_.approx.slot_seed = pinned_slot_seed_;
     has_pinned_slot_seed_ = false;
   }
-  if (trace_ != nullptr) trace_->BeginSlot(time, b.ctx.approx.slot_seed);
+  if (trace_ != nullptr) trace_->BeginSlot(time, ctx_.approx.slot_seed);
+  if (!config_.incremental) return ctx_;
   // Privacy-decay set: announced cost drifts with wall-clock time even
   // without any event; membership never changes from it. Sensors also in
   // changed_ get the full refresh below instead. Once every history
@@ -327,11 +311,11 @@ const SlotContext& AcquisitionEngine::BeginSlot(int time) {
       continue;
     }
     const Sensor& s = sensors_[id];
-    const int pos = b.slot_pos[id];
+    const int pos = slot_pos_[id];
     if (pos >= 0) {
-      b.ctx.sensors[static_cast<size_t>(pos)].cost = s.Cost(time);
-      b.ctx.slabs.cost[static_cast<size_t>(pos)] =
-          b.ctx.sensors[static_cast<size_t>(pos)].cost;
+      ctx_.sensors[static_cast<size_t>(pos)].cost = s.Cost(time);
+      ctx_.slabs.cost[static_cast<size_t>(pos)] =
+          ctx_.sensors[static_cast<size_t>(pos)].cost;
     }
     const bool decaying =
         !s.report_history().empty() &&
@@ -349,11 +333,11 @@ const SlotContext& AcquisitionEngine::BeginSlot(int time) {
   SortChanged();
   // The cold build's merge copies nothing to overlap, so its inserts apply
   // as they are found: index_ops_'s capacity follows churn, not n.
-  const bool cold_build = b.ctx.sensors.empty();
+  const bool cold_build = ctx_.sensors.empty();
   for (int id : changed_) {
-    RefreshMember(b, id, time);
+    RefreshMember(id, time);
     if (cold_build) {
-      ApplyIndexOps(b.index.get(), index_ops_);
+      ApplyIndexOps(index_.get(), index_ops_);
       index_ops_.clear();
     }
     changed_flag_[id] = 0;
@@ -361,211 +345,13 @@ const SlotContext& AcquisitionEngine::BeginSlot(int time) {
   }
   changed_.clear();
   if (!pending_insert_.empty() || !pending_remove_.empty()) {
-    RebuildMembership(b, time);
+    RebuildMembership(time);
   }
-  ApplyIndexOps(b.index.get(), index_ops_);  // a slot with moves only
+  ApplyIndexOps(index_.get(), index_ops_);  // a slot with moves only
   index_ops_.clear();
-  AttachIndex(b);
-  return b.ctx;
+  AttachIndex();
+  return ctx_;
 }
-
-// --- Pipelined slot lifecycle ----------------------------------------------
-
-void AcquisitionEngine::StageNextSlot(int time, const SensorDelta& delta) {
-  if (!pipelined_) {
-    // Sequential degradation: exactly the ApplyDelta + (deferred)
-    // BeginSlot path, so drivers can call Stage/Activate unconditionally.
-    ApplyDelta(delta);
-    staged_time_ = time;
-    return;
-  }
-  // Trace staging stays on the serving thread, preserving the recorded
-  // stream order (slot t's queries were staged before this call).
-  if (trace_ != nullptr) trace_->StageDelta(delta);
-  staged_time_ = time;
-  staged_delta_ = delta;
-  // The packaged task captures any error into staged_, so the pool's
-  // no-throw task contract holds and ActivateStagedSlot rethrows it.
-  auto task = std::make_shared<std::packaged_task<void()>>([this] {
-    ApplyDeltaToRegistry(staged_delta_);
-    EarlyRepairStaged(staged_time_);
-  });
-  staged_ = task->get_future();
-  stager_->Submit([task] { (*task)(); });
-}
-
-void AcquisitionEngine::StageRefreshMember(int id) {
-  SlotBuffer& f = buf_[front_];
-  const Sensor& s = sensors_[id];
-  const bool member =
-      s.available() && config_.working_region.Contains(s.position());
-  const int pos = f.slot_pos[id];
-  if (member && pos < 0) {
-    pending_insert_.push_back(id);
-    op_log_.push_back(IndexOp{IndexOp::kInsert, id, s.position()});
-    return;
-  }
-  if (!member) {
-    if (pos >= 0) {
-      pending_remove_.push_back(id);
-      op_log_.push_back(IndexOp{IndexOp::kRemove, id, Point{}});
-    }
-    return;
-  }
-  // Continuing member. The front entry holds the previous slot's
-  // announcement, so the comparisons below are against exactly the state
-  // sequential RefreshMember would patch in place; the patch itself is
-  // deferred until the cross-buffer merge fixes positions.
-  const SlotSensor& ss = f.ctx.sensors[static_cast<size_t>(pos)];
-  const bool moved = !(ss.location == s.position());
-  if (moved) op_log_.push_back(IndexOp{IndexOp::kMove, id, s.position()});
-  staged_patches_.push_back(
-      StagedPatch{id, moved, cost_dirty_[id] != 0 || privacy_flag_[id] != 0});
-}
-
-void AcquisitionEngine::EarlyRepairStaged(int time) {
-  SlotBuffer& f = buf_[front_];
-  SlotBuffer& b = buf_[front_ ^ 1];
-  if (!config_.incremental) {
-    // Reference mode: the overlappable work IS the full rebuild.
-    // (Validate rejects this combination with record_readings — a rebuild
-    // would re-announce every sensor before the overlapped slot's
-    // readings land.)
-    b.ctx = BuildSlotContext(sensors_, config_.working_region, time,
-                             config_.dmax, config_.index_policy,
-                             config_.index_auto_threshold);
-    return;
-  }
-  // Catch this buffer's index up: replay the ops the previous staging
-  // applied to the other buffer, so both indexes share one op history.
-  ApplyIndexOps(b.index.get(), replay_log_);
-  replay_log_.clear();
-  staged_patches_.clear();
-  b.ctx.time = time;
-  // Privacy compaction — same decisions as BeginSlot's loop (the decaying
-  // test reads only registry state this staging cannot change), with the
-  // context patches deferred to post-merge positions.
-  size_t keep = 0;
-  for (int id : privacy_refresh_) {
-    if (changed_flag_[id]) {
-      privacy_refresh_[keep++] = id;
-      continue;
-    }
-    const Sensor& s = sensors_[id];
-    if (f.slot_pos[id] >= 0) {
-      staged_patches_.push_back(StagedPatch{id, false, true});
-    }
-    const bool decaying =
-        !s.report_history().empty() &&
-        time - s.report_history().back() < s.profile().privacy_window;
-    if (decaying) {
-      privacy_refresh_[keep++] = id;
-    } else {
-      privacy_flag_[id] = 0;
-    }
-  }
-  privacy_refresh_.resize(keep);
-  SortChanged();
-  for (int id : changed_) {
-    StageRefreshMember(id);
-    changed_flag_[id] = 0;
-    cost_dirty_[id] = 0;
-  }
-  changed_.clear();
-  ApplyIndexOps(b.index.get(), op_log_);
-  // Both lists were filled walking the sorted changed_.
-  assert(std::is_sorted(pending_insert_.begin(), pending_insert_.end()));
-  assert(std::is_sorted(pending_remove_.begin(), pending_remove_.end()));
-  // Cross-buffer membership merge: always runs (zero events degenerate to
-  // a straight copy), rebuilding the back buffer's member array, slabs,
-  // and slot_pos from the immutable front state.
-  MergeSortedMembershipInto(
-      f.ctx.sensors, f.ctx.slabs, f.slot_pos, &b.ctx.sensors, &b.ctx.slabs,
-      &b.slot_pos, pending_insert_, pending_remove_,
-      [&](SlotSensor& ss, int id) { FillInserted(ss, id, time); });
-  pending_insert_.clear();
-  pending_remove_.clear();
-  // Deferred announcement patches, now at post-merge back positions. The
-  // values and gating predicates are byte-for-byte sequential
-  // RefreshMember's / the compaction loop's.
-  for (const StagedPatch& p : staged_patches_) {
-    const int pos = b.slot_pos[p.id];
-    if (pos < 0) continue;
-    const Sensor& s = sensors_[p.id];
-    SlotSensor& ss = b.ctx.sensors[static_cast<size_t>(pos)];
-    if (p.loc) {
-      ss.location = s.position();
-      b.ctx.slabs.x[static_cast<size_t>(pos)] = ss.location.x;
-      b.ctx.slabs.y[static_cast<size_t>(pos)] = ss.location.y;
-    }
-    if (p.cost) {
-      ss.cost = s.Cost(time);
-      b.ctx.slabs.cost[static_cast<size_t>(pos)] = ss.cost;
-    }
-  }
-  AttachIndex(b);
-}
-
-void AcquisitionEngine::LateFeedbackStaged(
-    const std::vector<std::pair<int, int>>& readings, int slot_time) {
-  if (readings.empty()) return;
-  assert(config_.incremental &&
-         "readings feedback requires incremental mode when pipelined");
-  SlotBuffer& b = buf_[front_ ^ 1];
-  // Two passes: charge every reading first, then re-cost — so announced
-  // costs see the complete post-slot history exactly as the sequential
-  // NoteReading-then-BeginSlot order produced.
-  for (const std::pair<int, int>& r : readings) {
-    sensors_[static_cast<size_t>(r.first)].RecordReading(r.second);
-  }
-  for (const std::pair<int, int>& r : readings) {
-    const int id = r.first;
-    const Sensor& s = sensors_[static_cast<size_t>(id)];
-    const int pos = b.slot_pos[id];
-    if (pos >= 0) {
-      SlotSensor& ss = b.ctx.sensors[static_cast<size_t>(pos)];
-      ss.cost = s.Cost(slot_time);
-      b.ctx.slabs.cost[static_cast<size_t>(pos)] = ss.cost;
-    }
-    if (!privacy_flag_[id] &&
-        PrivacyLevelValue(s.profile().privacy) > 0.0) {
-      privacy_flag_[id] = 1;
-      privacy_refresh_.push_back(id);
-    }
-  }
-}
-
-const SlotContext& AcquisitionEngine::ActivateStagedSlot() {
-  if (!pipelined_) return BeginSlot(staged_time_);
-  if (staged_.valid()) staged_.get();  // commit barrier; rethrows errors
-  SlotBuffer& b = buf_[front_ ^ 1];
-  LateFeedbackStaged(pending_readings_, staged_time_);
-  pending_readings_.clear();
-  // The previous slot's selection is complete by the time the driver
-  // activates, so its arena scratch is dead; one shared arena serves
-  // both buffers.
-  arena_.Reset();
-  b.ctx.time = staged_time_;
-  b.ctx.arena = &arena_;
-  b.ctx.pool = pool_.get();
-  b.ctx.approx = config_.approx;
-  b.ctx.approx.slot_seed = ApproxSlotSeed(config_.approx, staged_time_);
-  if (has_pinned_slot_seed_) {
-    b.ctx.approx.slot_seed = pinned_slot_seed_;
-    has_pinned_slot_seed_ = false;
-  }
-  if (trace_ != nullptr) {
-    trace_->BeginSlot(staged_time_, b.ctx.approx.slot_seed);
-  }
-  // The ops this staging applied to the new front index await replay
-  // onto the new back index at the next staging.
-  std::swap(replay_log_, op_log_);
-  op_log_.clear();
-  front_ ^= 1;
-  return buf_[front_].ctx;
-}
-
-// ---------------------------------------------------------------------------
 
 void AcquisitionEngine::NoteReading(int id, int time) {
   Sensor& s = sensors_[id];
@@ -580,34 +366,20 @@ void AcquisitionEngine::NoteReading(int id, int time) {
 
 void AcquisitionEngine::RecordReadings(const std::vector<int>& sensor_ids,
                                        int time) {
-  if (pipelined_) {
-    // A staging may be in flight: defer — ActivateStagedSlot applies the
-    // queue at the commit barrier.
-    for (int id : sensor_ids) pending_readings_.emplace_back(id, time);
-    return;
-  }
   for (int id : sensor_ids) NoteReading(id, time);
 }
 
 void AcquisitionEngine::RecordSlotReadings(const std::vector<int>& slot_indices,
                                            int time) {
-  const SlotContext& ctx = buf_[front_].ctx;
-  if (pipelined_) {
-    for (int si : slot_indices) {
-      pending_readings_.emplace_back(
-          ctx.sensors[static_cast<size_t>(si)].sensor_id, time);
-    }
-    return;
-  }
   for (int si : slot_indices) {
-    NoteReading(ctx.sensors[static_cast<size_t>(si)].sensor_id, time);
+    NoteReading(ctx_.sensors[static_cast<size_t>(si)].sensor_id, time);
   }
 }
 
 const char* AcquisitionEngine::IndexBackendName() const {
   if (!config_.incremental) return "rebuild";
-  if (buf_[front_].ctx.index == nullptr) return "none";
-  return buf_[front_].ctx.index->Name();
+  if (ctx_.index == nullptr) return "none";
+  return ctx_.index->Name();
 }
 
 // --- Selection ---------------------------------------------------------------

@@ -2,11 +2,9 @@
 #define PSENS_ENGINE_ACQUISITION_ENGINE_H_
 
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "common/geometry.h"
@@ -51,10 +49,10 @@ class TraceWriter;
 ///
 /// Contract: for a fixed input stream (registry, deltas, query batches,
 /// per-slot seeds), selections, payments, and valuation-call counts are
-/// bit-identical regardless of thread count, index policy, incremental vs
-/// rebuild mode, or pipeline depth. SameOutcome() (trace/slot_server.h)
-/// is the comparator; the streaming-equivalence and replay differential
-/// suites enforce it.
+/// bit-identical regardless of thread count, index policy, or incremental
+/// vs rebuild mode. SameOutcome() (trace/slot_server.h) is the
+/// comparator; the streaming-equivalence and replay differential suites
+/// enforce it.
 ///
 /// The registry must be id-dense: sensors_[i].id() == i (what
 /// GenerateSensors produces). Asserted at construction.
@@ -82,30 +80,6 @@ class AcquisitionEngine {
   /// Finalizes announcements for slot `time` and returns the context.
   /// Valid until the next BeginSlot call or engine destruction.
   const SlotContext& BeginSlot(int time);
-
-  /// Pipelined slot lifecycle (ServingConfig::pipeline == 2). The
-  /// driver's slot t sequence becomes
-  ///
-  ///   ctx = engine.ActivateStagedSlot();        // commit barrier
-  ///   engine.StageNextSlot(t + 1, delta_t1);    // overlaps with...
-  ///   r = engine.Select(queries_t, ctx, ...);   // ...slot t's selection
-  ///   engine.RecordSlotReadings(r.selected_sensors, t);  // deferred
-  ///
-  /// StageNextSlot journals the delta to the trace (serving thread),
-  /// copies it, and hands slot t+1's delta ingestion, membership repair,
-  /// and dynamic-index maintenance to the engine's staging worker thread,
-  /// which writes *back* (double-buffered) slot state the in-flight
-  /// selection never reads. ActivateStagedSlot is the deterministic
-  /// commit barrier: it waits for the staged work (rethrowing any error
-  /// it raised), applies the previous slot's deferred readings feedback
-  /// (queued by RecordReadings/RecordSlotReadings, which in pipelined
-  /// mode never touch the registry inline), stamps the slot and flips
-  /// buffers. Outcomes are bit-identical to the sequential ApplyDelta +
-  /// BeginSlot path for every scheduler and thread count. With
-  /// pipeline < 2 both calls degrade to exactly that sequential path, so
-  /// drivers can call them unconditionally.
-  void StageNextSlot(int time, const SensorDelta& delta);
-  const SlotContext& ActivateStagedSlot();
 
   /// Charges one reading each to the given *global sensor ids* at slot
   /// `time` (energy + privacy history), flagging their announcements for
@@ -179,29 +153,9 @@ class AcquisitionEngine {
   /// slot indices, so translated results stay ascending.
   class SlotIndexView;
 
-  /// One copy of the per-slot serving state. Sequential serving uses
-  /// buf_[0] only; pipelined serving (ServingConfig::pipeline == 2)
-  /// double-buffers so the staged repair of slot t+1 writes the back
-  /// buffer while slot t's selection reads the front one. Each buffer's
-  /// index view is pinned to that buffer's index and slot_pos, so a
-  /// context handed out at a flip keeps translating through the right
-  /// map.
-  struct SlotBuffer {
-    SlotContext ctx;
-    /// id -> position in ctx.sensors, or -1 when not a member.
-    std::vector<int> slot_pos;
-    std::unique_ptr<DynamicSpatialIndex> index;
-    std::shared_ptr<SlotIndexView> view;
-  };
-
-  /// One dynamic-index mutation. Sequential turnover batches a slot's ops
-  /// so they apply while the pool copies the membership merge; a staged
-  /// repair journals them so the identical op sequence can be replayed
-  /// onto the other buffer's index at the next staging — both indexes
-  /// then share the exact op history (including kAuto rechoice
-  /// counters), which keeps their query behavior, and therefore
-  /// selection outcomes, bitwise in lockstep with a sequential
-  /// single-index run.
+  /// One dynamic-index mutation. Turnover batches a slot's ops so they
+  /// apply on the serving thread while the pool copies the membership
+  /// merge.
   struct IndexOp {
     enum Kind { kInsert, kRemove, kMove };
     Kind kind;
@@ -211,46 +165,21 @@ class AcquisitionEngine {
   /// Applies `ops` to `index` in order (no-op on a null index).
   static void ApplyIndexOps(SpatialIndex* index, std::span<const IndexOp> ops);
 
-  /// A continuing member whose staged announcement needs patching after
-  /// the cross-buffer membership merge lands (positions are only known
-  /// post-merge).
-  struct StagedPatch {
-    int id;
-    bool loc;
-    bool cost;
-  };
-
   void MarkChanged(int id, bool cost_dirty);
   /// Sorts changed_ ascending by sensor id (radix sort; same order as
   /// std::sort over the distinct ids).
   void SortChanged();
   void NoteReading(int id, int time);
   void ApplyDeltaToRegistry(const SensorDelta& delta);
-  /// Re-evaluates `id` against buffer `b`, appending its index op (if
-  /// any) to index_ops_.
-  void RefreshMember(SlotBuffer& b, int id, int time);
+  /// Re-evaluates `id` against the current membership, appending its
+  /// index op (if any) to index_ops_.
+  void RefreshMember(int id, int time);
   /// The merge's `fill` for an inserted member: its announcement at `time`.
   void FillInserted(SlotSensor& ss, int id, int time);
-  /// Merges pending_insert_/pending_remove_ into `b`, applying index_ops_
-  /// on this thread while the pool copies.
-  void RebuildMembership(SlotBuffer& b, int time);
-  void AttachIndex(SlotBuffer& b);
-  /// Classification half of RefreshMember for the staged path: reads the
-  /// *front* buffer's membership, journals index ops for the *back* index
-  /// in op_log_, and defers context patches to staged_patches_.
-  void StageRefreshMember(int id);
-  /// Repairs the *back* buffer for slot `time` from the marks accumulated
-  /// since the last flip (the overlappable phase of a pipelined slot;
-  /// runs on the staging worker).
-  void EarlyRepairStaged(int time);
-  /// Applies the previous slot's readings feedback to the registry and
-  /// the *back* buffer: each (sensor id, reading slot) pair is charged
-  /// via Sensor::RecordReading, then the sensor's staged announcement is
-  /// re-costed at `slot_time` and enrolled for privacy refresh — the
-  /// deferred equivalent of the sequential NoteReading + RefreshMember
-  /// sequence. Serving-thread only, after the staged repair finished.
-  void LateFeedbackStaged(const std::vector<std::pair<int, int>>& readings,
-                          int slot_time);
+  /// Merges pending_insert_/pending_remove_ into the membership, applying
+  /// index_ops_ on this thread while the pool copies.
+  void RebuildMembership(int time);
+  void AttachIndex();
   /// Runs one engine over the slot, owning the sieve lifecycle: the
   /// cross-slot sieve state is reset when the choice sequence re-enters
   /// kSieve from a different engine (the carried buckets missed the
@@ -263,10 +192,14 @@ class AcquisitionEngine {
   ServingConfig config_;
   /// The sensor registry.
   std::vector<Sensor> sensors_;
-  /// Double-buffered slot state; front_ indexes the active buffer (always
-  /// 0 in sequential mode).
-  SlotBuffer buf_[2];
-  int front_ = 0;
+  /// The current slot's context.
+  SlotContext ctx_;
+  /// id -> position in ctx_.sensors, or -1 when not a member.
+  std::vector<int> slot_pos_;
+  /// The id-keyed dynamic index (incremental mode with an index policy)
+  /// and the slot-indexed view of it handed to schedulers.
+  std::unique_ptr<DynamicSpatialIndex> index_;
+  std::shared_ptr<SlotIndexView> view_;
   /// Sensors touched since the last BeginSlot (dedup by flag).
   std::vector<int> changed_;
   std::vector<char> changed_flag_;
@@ -281,9 +214,9 @@ class AcquisitionEngine {
   /// Membership changes discovered by BeginSlot, merged in one pass.
   std::vector<int> pending_insert_;
   std::vector<int> pending_remove_;
-  /// The slot's index ops in refresh order (sequential turnover), applied
-  /// on the serving thread as the merge's `overlap` — while the pool
-  /// copies, when it does — or after the refresh loop if no merge runs.
+  /// The slot's index ops in refresh order, applied on the serving thread
+  /// as the merge's `overlap` — while the pool copies, when it does — or
+  /// after the refresh loop if no merge runs.
   std::vector<IndexOp> index_ops_;
   /// Merge target whose capacity persists across slots (swapped with
   /// ctx_.sensors after each membership rebuild).
@@ -292,9 +225,7 @@ class AcquisitionEngine {
   /// merge_scratch_ (engine/membership_merge.h).
   SlotSlabs slab_scratch_;
   /// Slot-lifetime scratch arena handed to schedulers through
-  /// SlotContext::arena; reset at every BeginSlot (or, pipelined, at each
-  /// ActivateStagedSlot — by which point the previous selection's scratch
-  /// is dead). One arena serves both buffers.
+  /// SlotContext::arena; reset at every BeginSlot.
   SlotArena arena_;
   /// Intra-slot selection pool (ServingConfig::threads), handed to
   /// schedulers through SlotContext::pool. Null when threads == 1.
@@ -314,31 +245,6 @@ class AcquisitionEngine {
   double last_turnover_ms_ = 0.0;
   std::optional<GreedyEngine> pinned_engine_;
   GreedyEngine last_select_engine_;
-
-  // --- Pipelined serving state (ServingConfig::pipeline == 2) ------------
-  /// Double buffers allocated; Stage/Activate run the overlapped path.
-  bool pipelined_ = false;
-  int staged_time_ = 0;
-  /// Engine-owned copy of the staged slot's delta (the caller's delta may
-  /// die before the staging worker consumes it).
-  SensorDelta staged_delta_;
-  std::vector<StagedPatch> staged_patches_;
-  /// Index ops journaled by the in-flight staging (op_log_) and the ops
-  /// of the previous staging awaiting replay onto the new back index
-  /// (replay_log_); swapped at each flip.
-  std::vector<IndexOp> op_log_;
-  std::vector<IndexOp> replay_log_;
-  /// Deferred readings feedback: (sensor id, reading slot) pairs queued
-  /// by RecordReadings while a staging is in flight, applied at the next
-  /// ActivateStagedSlot.
-  std::vector<std::pair<int, int>> pending_readings_;
-  /// Completion (or error) of the in-flight staging.
-  std::future<void> staged_;
-  /// One-thread staging worker (pipelined only; the overlap comes from
-  /// the serving thread's concurrent selection, not intra-repair
-  /// parallelism). Declared last so its destructor, which waits for an
-  /// in-flight staging, runs before any state that staging touches dies.
-  std::unique_ptr<ThreadPool> stager_;
 };
 
 }  // namespace psens

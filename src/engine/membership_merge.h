@@ -60,32 +60,48 @@ struct PoolWait {
   ~PoolWait() { pool->Wait(); }
 };
 
-/// The one merge kernel behind MergeSortedMembership and
-/// MergeSortedMembershipInto. Phase 1 walks the sorted events serially in
-/// ascending id order — O(k) for k events: it places inserts (their
-/// slot_pos entries), retires removals, and records the unchanged runs
-/// between events. Phase 2 copies those runs — the O(n) part — as
-/// contiguous row chunks spread over `pool`: each chunk memcpys its AoS
-/// rows and the 5 slab columns, then shifts .index and rewrites slot_pos
-/// for its rows while they are cache-hot. Every row and slot_pos entry is
-/// written by exactly one chunk, so any pool size gives the same bytes.
-/// Meanwhile the calling thread fills the inserted rows (`fill` in
-/// ascending id order, then the slab row from the filled entry) and runs
-/// `overlap()` once; neither may touch the copied rows. Without a pooled
-/// copy, both run after the copy.
-/// `rewrite_unshifted` also rewrites slot_pos for runs that did not move
-/// (needed when `dst_slot_pos` starts out reset). `src_slot_pos` may
-/// alias `dst_slot_pos`: the walk reads only entries above the current
-/// event id, which it has not written yet.
+}  // namespace merge_detail
+
+/// Applies a sorted batch of membership events to a member array sorted
+/// ascending by sensor id — the merge behind the engine's slot turnover
+/// (AcquisitionEngine::RebuildMembership).
+///
+/// Segment merge into a scratch buffer whose capacity persists across
+/// slots. Phase 1 walks the sorted events serially in ascending id order —
+/// O(k) for k events: it places inserts (their slot_pos entries), retires
+/// removals, and records the at most k+1 unchanged runs between events.
+/// Phase 2 copies those runs — the O(n) part — as contiguous row chunks
+/// spread over `pool` when one is given and the merge is large enough:
+/// each chunk memcpys its AoS rows and the 5 slab columns, then shifts
+/// .index and rewrites slot_pos for its rows while they are cache-hot.
+/// Every row and slot_pos entry is written by exactly one chunk, so any
+/// pool, or none, yields the same bytes. The walk reads slot_pos only
+/// above the current event id, which it has not written yet.
+///
+/// `inserts` and `removes` must be sorted ascending and disjoint;
+/// `slot_pos` maps sensor id -> position in `members` (-1 = non-member)
+/// and is kept consistent. `fill(ss, id)` populates a freshly inserted
+/// entry's payload (location/cost/inaccuracy/trust); .index and
+/// .sensor_id are set by the merge, and so is the inserted slab row.
+/// `overlap()` is independent work (`[] {}` for none). Both run on the
+/// calling thread, `fill` in ascending id order, while the pool copies;
+/// neither may touch the copied rows. Without a pooled copy, both run
+/// after the copy. `members`/`scratch` and the slab pairs are swapped on
+/// return.
 template <typename FillFn, typename OverlapFn>
-void MergeMembership(const std::vector<SlotSensor>& src,
-                     const SlotSlabs& src_slabs,
-                     const std::vector<int>& src_slot_pos,
-                     std::vector<SlotSensor>* dst, SlotSlabs* dst_slabs,
-                     std::vector<int>* dst_slot_pos, bool rewrite_unshifted,
-                     const std::vector<int>& inserts,
-                     const std::vector<int>& removes, FillFn&& fill,
-                     ThreadPool* pool, OverlapFn&& overlap) {
+void MergeSortedMembership(std::vector<SlotSensor>* members,
+                           std::vector<SlotSensor>* scratch,
+                           std::vector<int>* slot_pos,
+                           const std::vector<int>& inserts,
+                           const std::vector<int>& removes, FillFn&& fill,
+                           SlotSlabs* slabs, SlotSlabs* slab_scratch,
+                           ThreadPool* pool, OverlapFn&& overlap) {
+  using merge_detail::CopyRun;
+  const std::vector<SlotSensor>& src = *members;
+  const SlotSlabs& src_slabs = *slabs;
+  std::vector<SlotSensor>* dst = scratch;
+  SlotSlabs* dst_slabs = slab_scratch;
+  std::vector<int>& pos = *slot_pos;
   const size_t old_size = src.size();
   dst->resize(old_size + inserts.size());
   dst_slabs->Resize(old_size + inserts.size());
@@ -112,13 +128,13 @@ void MergeMembership(const std::vector<SlotSensor>& src,
         (ii < inserts.size() && inserts[ii] < removes[ri]);
     if (take_insert) {
       const int id = inserts[ii++];
-      end_run(MemberInsertPosition(src_slot_pos, id, old_size));
-      (*dst_slot_pos)[id] = static_cast<int>(di);
+      end_run(MemberInsertPosition(pos, id, old_size));
+      pos[id] = static_cast<int>(di);
       ++di;
     } else {
       const int id = removes[ri++];
-      end_run(static_cast<size_t>(src_slot_pos[id]));
-      (*dst_slot_pos)[id] = -1;
+      end_run(static_cast<size_t>(pos[id]));
+      pos[id] = -1;
       ++si;  // skip the removed element
     }
   }
@@ -126,7 +142,7 @@ void MergeMembership(const std::vector<SlotSensor>& src,
   // Inserted rows are the ones no copy run writes; slot_pos locates them.
   const auto fill_inserts = [&] {
     for (int id : inserts) {
-      const size_t row = static_cast<size_t>((*dst_slot_pos)[id]);
+      const size_t row = static_cast<size_t>(pos[id]);
       SlotSensor& ss = (*dst)[row];
       ss.index = static_cast<int>(row);
       ss.sensor_id = id;
@@ -152,20 +168,21 @@ void MergeMembership(const std::vector<SlotSensor>& src,
       const size_t d = run.dst + lo;
       const size_t len = hi - lo;
       std::memcpy(dst->data() + d, src.data() + s, len * sizeof(SlotSensor));
-      for (std::vector<double> SlotSlabs::*col : kSlabColumns) {
+      for (std::vector<double> SlotSlabs::*col : merge_detail::kSlabColumns) {
         std::memcpy((dst_slabs->*col).data() + d, (src_slabs.*col).data() + s,
                     len * sizeof(double));
       }
       const int shift = static_cast<int>(run.dst) - static_cast<int>(run.src);
-      if (shift == 0 && !rewrite_unshifted) continue;
+      if (shift == 0) continue;
       for (size_t k = d; k < d + len; ++k) {
         SlotSensor& ss = (*dst)[k];
         ss.index += shift;
-        (*dst_slot_pos)[ss.sensor_id] = static_cast<int>(k);
+        pos[ss.sensor_id] = static_cast<int>(k);
       }
     }
   };
-  if (pool != nullptr && pool->size() > 1 && copied >= kMinParallelCopyRows) {
+  if (pool != nullptr && pool->size() > 1 &&
+      copied >= merge_detail::kMinParallelCopyRows) {
     // A few chunks per worker: workers claim them dynamically, so one
     // preempted worker delays the copy by a chunk, not by a quarter of it.
     // The calling thread fills and overlaps first, then claims what is
@@ -178,7 +195,7 @@ void MergeMembership(const std::vector<SlotSensor>& src,
                   copied * static_cast<size_t>(c + 1) / chunks);
       }
     };
-    const PoolWait wait{pool};
+    const merge_detail::PoolWait wait{pool};
     for (int w = 0; w < pool->size(); ++w) pool->Submit(claim_chunks);
     fill_inserts();
     overlap();
@@ -190,71 +207,8 @@ void MergeMembership(const std::vector<SlotSensor>& src,
   }
   dst->resize(di);
   dst_slabs->Resize(di);
-}
-
-}  // namespace merge_detail
-
-/// Applies a sorted batch of membership events to a member array sorted
-/// ascending by sensor id — the merge behind the engine's sequential slot
-/// turnover (AcquisitionEngine::RebuildMembership); the pipelined path's
-/// MergeSortedMembershipInto shares its kernel, so the two cannot drift.
-///
-/// Segment merge into a scratch buffer whose capacity persists across
-/// slots: a serial O(k) walk over the k events records the at most k+1
-/// unchanged runs, and the O(n) run copy (the SoA slab columns ride the
-/// same row ranges) is split over `pool` when one is given and the merge
-/// is large enough. Any pool, or none, yields the same bytes.
-///
-/// `inserts` and `removes` must be sorted ascending and disjoint;
-/// `slot_pos` maps sensor id -> position in `members` (-1 = non-member)
-/// and is kept consistent. `fill(ss, id)` populates a freshly inserted
-/// entry's payload (location/cost/inaccuracy/trust); .index and
-/// .sensor_id are set by the merge, and so is the inserted slab row.
-/// `overlap()` is independent work (`[] {}` for none). Both run on the
-/// calling thread, `fill` in ascending id order, while the pool copies
-/// (see merge_detail::MergeMembership). `members`/`scratch` and the slab
-/// pairs are swapped on return.
-template <typename FillFn, typename OverlapFn>
-void MergeSortedMembership(std::vector<SlotSensor>* members,
-                           std::vector<SlotSensor>* scratch,
-                           std::vector<int>* slot_pos,
-                           const std::vector<int>& inserts,
-                           const std::vector<int>& removes, FillFn&& fill,
-                           SlotSlabs* slabs, SlotSlabs* slab_scratch,
-                           ThreadPool* pool, OverlapFn&& overlap) {
-  merge_detail::MergeMembership(*members, *slabs, *slot_pos, scratch,
-                                slab_scratch, slot_pos,
-                                /*rewrite_unshifted=*/false, inserts, removes,
-                                fill, pool, overlap);
   std::swap(*slabs, *slab_scratch);
   std::swap(*members, *scratch);
-}
-
-/// Cross-buffer variant for pipelined double-buffered serving
-/// (ServingConfig::pipeline == 2): applies the same sorted event walk as
-/// MergeSortedMembership, but reads an immutable source member array /
-/// slab set / slot_pos map (the *front* buffer, which a concurrent
-/// selection pass may be reading) and writes a fully rebuilt destination
-/// (the *back* buffer). `dst_slot_pos` is reset to -1 and repopulated for
-/// every surviving member — the back buffer's map is two slots stale, so
-/// entries for ids removed in earlier slots cannot be trusted and an
-/// incremental fixup would leave them dangling. Both variants run the
-/// same kernel, so front-to-back and in-place produce identical member
-/// arrays.
-template <typename FillFn>
-void MergeSortedMembershipInto(const std::vector<SlotSensor>& src,
-                               const SlotSlabs& src_slabs,
-                               const std::vector<int>& src_slot_pos,
-                               std::vector<SlotSensor>* dst,
-                               SlotSlabs* dst_slabs,
-                               std::vector<int>* dst_slot_pos,
-                               const std::vector<int>& inserts,
-                               const std::vector<int>& removes, FillFn&& fill,
-                               ThreadPool* pool = nullptr) {
-  dst_slot_pos->assign(src_slot_pos.size(), -1);
-  merge_detail::MergeMembership(src, src_slabs, src_slot_pos, dst, dst_slabs,
-                                dst_slot_pos, /*rewrite_unshifted=*/true,
-                                inserts, removes, fill, pool, [] {});
 }
 
 }  // namespace psens

@@ -15,19 +15,8 @@ std::string ServingConfig::Validate() const {
   if (approx.min_sample < 1) return "approx.min_sample must be >= 1";
   if (approx.sample_hint < 0) return "approx.sample_hint must be >= 0";
   if (index_auto_threshold < 0) return "index_auto_threshold must be >= 0";
-  if (pipeline < 0) return "pipeline must be >= 0";
-  if (pipeline > 2) {
-    return "pipeline depth > 2 would reorder cross-slot feedback (slot t+2's "
-           "announcements would freeze before slot t's readings land); only "
-           "0/1 (sequential) and 2 (double-buffered) are supported";
-  }
   if (!std::isfinite(slo_ms) || slo_ms < 0.0) {
     return "slo_ms must be finite and >= 0 (0 disables adaptive scheduling)";
-  }
-  if (pipeline == 2 && record_readings && !incremental) {
-    return "pipeline == 2 with record_readings requires incremental mode "
-           "(the rebuild path re-announces every sensor in the early phase, "
-           "before the overlapped slot's readings commit)";
   }
   return std::string();
 }

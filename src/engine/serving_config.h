@@ -19,9 +19,9 @@ namespace psens {
 /// an `AcquisitionEngine`.
 ///
 /// Every knob preserves the bit-identical-results discipline: for a
-/// fixed input stream, `threads`, `index_policy`/`index_auto_threshold`,
-/// `incremental` and `pipeline` change wall-clock only — selections,
-/// payments, and valuation-call counts are bitwise invariant
+/// fixed input stream, `threads`, `index_policy`/`index_auto_threshold`
+/// and `incremental` change wall-clock only — selections, payments, and
+/// valuation-call counts are bitwise invariant
 /// (tests/streaming_equivalence_test.cc).
 struct ServingConfig {
   /// Working region filtering slot membership (same role as the
@@ -46,7 +46,7 @@ struct ServingConfig {
   /// N > 1 = that many workers. Selections, payments, and
   /// ValuationCalls() are bit-identical for every value — the knob only
   /// buys wall-clock (bench/fig12_streaming --threads,
-  /// bench/fig17_pipeline_throughput).
+  /// bench/fig17_threads_throughput).
   int threads = 1;
   /// Approximate-scheduler knobs, stamped onto every slot context.
   /// BeginSlot derives the per-slot RNG stream from (approx.seed, time)
@@ -63,22 +63,6 @@ struct ServingConfig {
   /// loop's cross-slot energy/privacy feedback. Replay uses the same
   /// default so the feedback path is replayed too.
   bool record_readings = true;
-  /// Pipelined slot execution depth. 0 or 1 (default 0): sequential —
-  /// each slot's turnover (ApplyDelta + BeginSlot) completes before its
-  /// selection starts. 2: double-buffered — the driver stages slot t+1's
-  /// delta ingestion, membership repair, and dynamic-index maintenance
-  /// on the engine's staging worker thread while slot t's selection
-  /// runs, committing at a deterministic barrier (StageNextSlot /
-  /// ActivateStagedSlot). Outcomes are bit-identical to sequential for
-  /// every scheduler and thread count; the knob only buys sustained
-  /// slots/sec (bench/fig17_pipeline_throughput).
-  /// Depths > 2 are rejected by Validate(): slot t+2's announcements
-  /// would have to freeze before slot t's readings land, reordering the
-  /// cross-slot feedback the paper's per-slot cycle defines. Pipelined
-  /// rebuild mode (incremental == false) with record_readings is rejected
-  /// for the same reason — a full rebuild re-announces every sensor in
-  /// the early phase, before the overlapped slot's readings commit.
-  int pipeline = 0;
   /// Per-slot latency budget in milliseconds for the adaptive scheduler
   /// (src/engine/adaptive_policy.h). 0 (default): static scheduling —
   /// `scheduler` runs every slot exactly as configured. > 0: ServingEngine::Select consults an AdaptivePolicy
@@ -142,10 +126,6 @@ struct ServingConfig {
     record_readings = on;
     return *this;
   }
-  ServingConfig& WithPipeline(int depth) {
-    pipeline = depth;
-    return *this;
-  }
   ServingConfig& WithSloMs(double ms) {
     slo_ms = ms;
     return *this;
@@ -153,9 +133,10 @@ struct ServingConfig {
 
   /// Empty string when the config is serviceable; otherwise a
   /// human-readable description of the first problem found.
-  /// MakeServingEngine refuses (asserts in debug, clamps nothing) on a
-  /// non-empty result, so configuration mistakes surface at construction
-  /// instead of as silent mis-serving.
+  /// MakeServingEngine aborts the process (in every build type; it clamps
+  /// nothing) on a non-empty result, so configuration mistakes surface at
+  /// construction instead of as silent mis-serving. Callers holding
+  /// untrusted values (a decoded trace header) check Validate() first.
   std::string Validate() const;
 };
 

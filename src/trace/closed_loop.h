@@ -53,8 +53,8 @@ class ChurnWorkload {
 struct ClosedLoopConfig {
   int slots = 20;
   ChurnQueryConfig queries;
-  /// The serving stack (scheduler, threads, pipeline, index policy, approx
-  /// knobs, trace recording, readings feedback). working_region and dmax
+  /// The serving stack (scheduler, threads, index policy, approx knobs,
+  /// trace recording, readings feedback). working_region and dmax
   /// are stamped from the scenario setup by RunChurnClosedLoop. The
   /// approx seed keeps the closed loop's historical default of 123
   /// unless the caller overrides it.

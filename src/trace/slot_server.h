@@ -1,8 +1,6 @@
 #ifndef PSENS_TRACE_SLOT_SERVER_H_
 #define PSENS_TRACE_SLOT_SERVER_H_
 
-#include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/aggregate_query.h"
@@ -41,40 +39,6 @@ struct SlotOutcome {
 /// suite and the fig14/fig17 gates both rest on this comparator.
 bool SameOutcome(const SlotOutcome& a, const SlotOutcome& b);
 
-/// One slot's full input for a pulled serving loop: the churn delta, the
-/// query arrivals, and (replay) the recorded slot seed and adaptive
-/// engine choice to pin.
-struct SlotInput {
-  int time = 0;
-  SensorDelta delta;
-  SlotQueryBatch queries;
-  bool pin_seed = false;
-  uint64_t slot_seed = 0;
-  /// Set on replay of an adaptive (version-2) trace: the engine the
-  /// recorded run chose for this slot, pinned via
-  /// ServingEngine::PinNextSelectEngine before the slot is served.
-  std::optional<GreedyEngine> pin_engine;
-};
-
-/// Pull-style input stream for SlotServer::ServeLoop. Next() fills the
-/// next slot's input and returns true, or returns false at end of
-/// stream. The loop pulls one slot ahead in pipelined mode, so sources
-/// must produce inputs independent of serving results (both drivers'
-/// streams are: churn and queries come from dedicated forked RNG
-/// streams, replay records from the decoded trace).
-class SlotInputSource {
- public:
-  virtual ~SlotInputSource() = default;
-  virtual bool Next(SlotInput* out) = 0;
-};
-
-/// What ServeLoop produced: every slot's outcome plus the loop's wall
-/// time (the sustained-throughput numerator fig17 measures).
-struct ServeLoopResult {
-  std::vector<SlotOutcome> outcomes;
-  double wall_ms = 0.0;
-};
-
 /// The serving step shared by every consumer of a ServingEngine — the
 /// live closed loop (trace/closed_loop.h), the trace replayer
 /// (trace/trace_replayer.h), and the fig14/fig17 benches: apply the
@@ -101,19 +65,6 @@ class SlotServer {
   /// the slot's arrivals.
   SlotOutcome ServeSlot(int time, const SensorDelta& delta,
                         const SlotQueryBatch& queries);
-
-  /// Serves an input stream to exhaustion. With the engine configured
-  /// sequentially (ServingConfig::pipeline < 2) this is ServeSlot per
-  /// input; with pipeline == 2 the loop runs the overlapped schedule —
-  /// activate slot t at the commit barrier, stage slot t+1 (pulled one
-  /// ahead from the source), then select slot t while the staged
-  /// turnover runs on the engine's staging worker. Outcomes are bit-identical
-  /// between the two schedules. `target_slots_per_sec` > 0 paces slot i
-  /// to start no earlier than i/rate seconds into the loop (the replay
-  /// harness's pacing, hoisted here so the pipelined path paces the
-  /// activation barrier, not the staging).
-  ServeLoopResult ServeLoop(SlotInputSource* source,
-                            double target_slots_per_sec = 0.0);
 
  private:
   ServingEngine* engine_;

@@ -295,9 +295,20 @@ void EncodeSlotRecord(const TraceSlotRecord& record, std::string* out,
   }
 }
 
-bool DecodeSlotRecord(const char* data, size_t size, TraceSlotRecord* record,
-                      std::string* error, uint32_t version) {
+bool DecodeSlotRecord(const char* data, size_t size, const TraceHeader& header,
+                      TraceSlotRecord* record, std::string* error) {
   Cursor c(data, size);
+  // Delta ids index the registry directly when the engine applies them,
+  // so an id outside it stops here.
+  const auto bad_id = [&](const char* what, int id) {
+    if (id >= 0 && static_cast<uint32_t>(id) < header.registry_count) {
+      return false;
+    }
+    *error = std::string("corrupt slot record: ") + what + " sensor id " +
+             std::to_string(id) + " outside the registry [0, " +
+             std::to_string(header.registry_count) + ")";
+    return true;
+  };
   uint32_t magic = 0;
   if (!c.GetU32(&magic) || magic != kSlotRecordMagic) {
     *error = "corrupt slot record: bad record magic";
@@ -317,13 +328,17 @@ bool DecodeSlotRecord(const char* data, size_t size, TraceSlotRecord* record,
     c.GetI32(&a.sensor_id);
     c.GetF64(&a.position.x);
     c.GetF64(&a.position.y);
+    if (bad_id("arrival", a.sensor_id)) return false;
   }
   if (!c.GetCount(kDepartureBytes, &n)) {
     *error = "corrupt slot record: departure count exceeds record payload";
     return false;
   }
   record->delta.departures.resize(n);
-  for (int& id : record->delta.departures) c.GetI32(&id);
+  for (int& id : record->delta.departures) {
+    c.GetI32(&id);
+    if (bad_id("departure", id)) return false;
+  }
   if (!c.GetCount(kPlacementBytes, &n)) {
     *error = "corrupt slot record: move count exceeds record payload";
     return false;
@@ -333,6 +348,7 @@ bool DecodeSlotRecord(const char* data, size_t size, TraceSlotRecord* record,
     c.GetI32(&m.sensor_id);
     c.GetF64(&m.position.x);
     c.GetF64(&m.position.y);
+    if (bad_id("move", m.sensor_id)) return false;
   }
   if (!c.GetCount(kPriceChangeBytes, &n)) {
     *error = "corrupt slot record: price-change count exceeds record payload";
@@ -342,6 +358,7 @@ bool DecodeSlotRecord(const char* data, size_t size, TraceSlotRecord* record,
   for (SensorDelta::PriceChange& pc : record->delta.price_changes) {
     c.GetI32(&pc.sensor_id);
     c.GetF64(&pc.base_price);
+    if (bad_id("price-change", pc.sensor_id)) return false;
   }
   if (!c.GetCount(kPointQueryBytes, &n)) {
     *error = "corrupt slot record: point-query count exceeds record payload";
@@ -380,7 +397,7 @@ bool DecodeSlotRecord(const char* data, size_t size, TraceSlotRecord* record,
     }
   }
   record->engine_choice.reset();
-  if (version >= kTraceVersionAdaptive) {
+  if (header.version >= kTraceVersionAdaptive) {
     if (!c.GetCount(sizeof(int32_t), &n)) {
       *error = "corrupt slot record: engine-choice count exceeds record "
                "payload";

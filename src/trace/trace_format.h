@@ -120,12 +120,13 @@ void EncodeSlotRecord(const TraceSlotRecord& record, std::string* out,
                       uint32_t version = kTraceVersion);
 
 /// Decodes one slot-record payload (the bytes after payload_bytes) laid
-/// out per `version` (the containing trace header's). Returns false and
-/// sets `*error` on any malformed input — bad magic, counts exceeding
-/// the payload, more than one engine choice, trailing bytes — without
-/// reading out of bounds.
-bool DecodeSlotRecord(const char* data, size_t size, TraceSlotRecord* record,
-                      std::string* error, uint32_t version = kTraceVersion);
+/// out per the containing trace's `header` (its version). Returns false
+/// and sets `*error` on any malformed input — bad magic, counts exceeding
+/// the payload, a delta sensor id outside [0, header.registry_count),
+/// more than one engine choice, trailing bytes — without reading out of
+/// bounds.
+bool DecodeSlotRecord(const char* data, size_t size, const TraceHeader& header,
+                      TraceSlotRecord* record, std::string* error);
 
 /// Serializes the 96-byte header.
 void EncodeHeader(const TraceHeader& header, std::string* out);

@@ -81,8 +81,8 @@ bool TraceFile::Load(const std::string& path, std::string* error) {
 bool TraceFile::DecodeSlot(int i, TraceSlotRecord* record,
                            std::string* error) const {
   const RecordSpan& span = records_[static_cast<size_t>(i)];
-  if (!DecodeSlotRecord(bytes_.data() + span.offset, span.size, record,
-                        error, header_.version)) {
+  if (!DecodeSlotRecord(bytes_.data() + span.offset, span.size, header_,
+                        record, error)) {
     *error = "slot " + std::to_string(i) + ": " + *error;
     return false;
   }

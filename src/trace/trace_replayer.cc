@@ -76,54 +76,6 @@ class ParallelDecoder {
   std::vector<std::thread> workers_;
 };
 
-/// Feeds decoded slot records to SlotServer::ServeLoop (the pipelined
-/// replay path). Decode errors surface through error() after the loop
-/// returns — Next() just ends the stream.
-class RecordInputSource : public SlotInputSource {
- public:
-  RecordInputSource(const TraceFile& trace, ParallelDecoder* decoder,
-                    bool pin_seeds)
-      : trace_(trace),
-        decoder_(decoder),
-        pin_seeds_(pin_seeds),
-        n_(static_cast<size_t>(trace.num_slots())) {}
-
-  bool Next(SlotInput* out) override {
-    if (i_ >= n_) return false;
-    TraceSlotRecord* record = nullptr;
-    if (decoder_ != nullptr) {
-      if (!decoder_->Wait(i_, &record, &error_)) return false;
-    } else {
-      if (!trace_.DecodeSlot(static_cast<int>(i_), &inline_record_, &error_)) {
-        return false;
-      }
-      record = &inline_record_;
-    }
-    out->time = record->time;
-    out->delta = record->delta;
-    out->queries.points = std::move(record->point_queries);
-    out->queries.aggregates = std::move(record->aggregate_queries);
-    out->pin_seed = pin_seeds_;
-    out->slot_seed = record->slot_seed;
-    // Version-2 (adaptive) traces carry the recorded engine choice;
-    // ServeLoop pins it so the replayed schedule matches bit for bit.
-    out->pin_engine = record->engine_choice;
-    ++i_;
-    return true;
-  }
-
-  const std::string& error() const { return error_; }
-
- private:
-  const TraceFile& trace_;
-  ParallelDecoder* decoder_;
-  bool pin_seeds_;
-  size_t n_;
-  size_t i_ = 0;
-  TraceSlotRecord inline_record_;
-  std::string error_;
-};
-
 }  // namespace
 
 TraceReplayer::TraceReplayer(const ReplayConfig& config) : config_(config) {}
@@ -162,6 +114,15 @@ ReplayResult TraceReplayer::Replay(const TraceFile& trace,
   scfg.approx.min_sample = header.min_sample;
   scfg.approx.sample_hint = header.sample_hint;
   if (!config_.override_approx_seed) scfg.approx.seed = header.approx_seed;
+  // The header's values are untrusted input and MakeServingEngine aborts
+  // on an invalid config, so a corrupt header is refused here instead.
+  const std::string problem = scfg.Validate();
+  if (!problem.empty()) {
+    result.error =
+        "invalid serving config (trace header or ReplayConfig::serving): " +
+        problem;
+    return result;
+  }
   std::unique_ptr<ServingEngine> engine = MakeServingEngine(registry, scfg);
   SlotServer server(engine.get());
   server.set_monitors(monitors);
@@ -172,26 +133,6 @@ ReplayResult TraceReplayer::Replay(const TraceFile& trace,
   std::unique_ptr<ParallelDecoder> decoder;
   if (decode_threads > 1 && n > 0) {
     decoder = std::make_unique<ParallelDecoder>(trace, decode_threads);
-  }
-
-  if (scfg.pipeline == 2) {
-    // Pipelined replay: ServeLoop owns the schedule (and the pacing), the
-    // source feeds it decoded records one slot ahead.
-    RecordInputSource source(trace, decoder.get(), config_.pin_slot_seeds);
-    ServeLoopResult loop =
-        server.ServeLoop(&source, config_.target_slots_per_sec);
-    if (!source.error().empty()) {
-      result.error = source.error();
-      return result;
-    }
-    result.outcomes = std::move(loop.outcomes);
-    result.wall_ms = loop.wall_ms;
-    result.slots_per_sec = result.wall_ms > 0.0
-                               ? 1000.0 * static_cast<double>(n) /
-                                     result.wall_ms
-                               : 0.0;
-    result.ok = true;
-    return result;
   }
 
   const auto start = std::chrono::steady_clock::now();

@@ -27,7 +27,7 @@ struct ReplayConfig {
   /// knob the seed-persistence regression test flips.
   bool pin_slot_seeds = true;
   /// Serving stack for the replaying engine (scheduler, threads,
-  /// pipeline depth, incremental mode, readings feedback). The working
+  /// incremental mode, readings feedback). The working
   /// region, dmax, and the approx epsilon/min_sample/sample_hint always
   /// come from the trace header; the base approx seed does too unless
   /// override_approx_seed imposes serving.approx.seed instead (see

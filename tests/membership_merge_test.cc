@@ -1,12 +1,11 @@
 // The sorted membership merge (engine/membership_merge.h) against a naive
-// rebuild: the serial merge, the pool-parallel run copy at several pool
-// sizes, and the cross-buffer variant must all produce the same members,
-// .index fields, slot_pos map and slab columns, bit for bit.
+// rebuild: the serial merge and the pool-parallel run copy at several
+// pool sizes must produce the same members, .index fields, slot_pos map
+// and slab columns, bit for bit.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -54,15 +53,6 @@ void MergeInPlace(Membership* m, const Batch& b, ThreadPool* pool) {
       &m->members, &m->scratch, &m->slot_pos, b.inserts, b.removes,
       [&](SlotSensor& ss, int id) { FillPayload(ss, id, b.generation); },
       &m->slabs, &m->slab_scratch, pool, [] {});
-}
-
-void MergeInto(const Membership& front, Membership* back, const Batch& b,
-               ThreadPool* pool) {
-  MergeSortedMembershipInto(
-      front.members, front.slabs, front.slot_pos, &back->members, &back->slabs,
-      &back->slot_pos, b.inserts, b.removes,
-      [&](SlotSensor& ss, int id) { FillPayload(ss, id, b.generation); },
-      pool);
 }
 
 /// The naive reference: the ascending member list rebuilt from scratch,
@@ -209,30 +199,6 @@ TEST(MembershipMergeTest, PooledMergeMatchesSerialForEveryPoolSize) {
       MergeInPlace(&pooled, b, &pool);
       ExpectSame(serial, pooled);
       ExpectSame(naive.Build(), pooled);
-    }
-  }
-}
-
-TEST(MembershipMergeTest, CrossBufferMergeMatchesInPlace) {
-  const std::vector<Batch> script = Script(13);
-  for (int threads : {1, 4}) {
-    SCOPED_TRACE(threads);
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-    // Two buffers flipped every batch, as pipelined serving does: the
-    // back buffer's slot_pos and members are two batches stale, so the
-    // merge must not trust them.
-    Membership buffers[2];
-    Membership in_place;
-    NaiveMembership naive;
-    int front = 0;
-    for (const Batch& b : script) {
-      naive.Apply(b);
-      MergeInto(buffers[front], &buffers[front ^ 1], b, pool.get());
-      front ^= 1;
-      MergeInPlace(&in_place, b, nullptr);
-      ExpectSame(in_place, buffers[front]);
-      ExpectSame(naive.Build(), buffers[front]);
     }
   }
 }

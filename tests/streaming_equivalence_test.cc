@@ -22,8 +22,6 @@
 #include "engine/serving_config.h"
 #include "mobility/random_waypoint.h"
 #include "sim/workload.h"
-#include "trace/closed_loop.h"
-#include "trace/slot_server.h"
 
 namespace psens {
 namespace {
@@ -628,111 +626,6 @@ TEST(StreamingEquivalenceTest, DepartedSensorsLeaveTheSlot) {
   EXPECT_TRUE(found);
 }
 
-// ---------------------------------------------------------------------------
-// Pipelined serving (ServingConfig::pipeline == 2) runs slot t+1's
-// staged turnover — delta apply, membership repair, slab rebuild, index
-// maintenance — on the staging worker while slot t's selection runs. The
-// commit barrier must make the overlap invisible: every outcome field
-// (selections, values, costs, valuation-call counts, payments) is
-// bit-identical to the sequential schedule.
-
-void ExpectPipelinedMatchesSequential(const ChurnScenarioSetup& setup,
-                                      const ClosedLoopConfig& base) {
-  const ClosedLoopResult sequential = RunChurnClosedLoop(setup, base);
-  // The run did real work; empty schedules would pass vacuously.
-  EXPECT_GT(sequential.total_payment, 0.0);
-  EXPECT_GT(sequential.valuation_calls, 0);
-
-  ClosedLoopConfig overlapped = base;
-  overlapped.serving.pipeline = 2;
-  ASSERT_TRUE(overlapped.serving.Validate().empty())
-      << overlapped.serving.Validate();
-  const ClosedLoopResult pipelined = RunChurnClosedLoop(setup, overlapped);
-  ASSERT_EQ(sequential.outcomes.size(), pipelined.outcomes.size());
-  for (size_t i = 0; i < sequential.outcomes.size(); ++i) {
-    EXPECT_TRUE(SameOutcome(sequential.outcomes[i], pipelined.outcomes[i]))
-        << "slot " << sequential.outcomes[i].time
-        << " diverged: sequential selected "
-        << sequential.outcomes[i].selection.selected_sensors.size()
-        << " sensors (value "
-        << sequential.outcomes[i].selection.total_value << ", payment "
-        << sequential.outcomes[i].total_payment << "), pipelined selected "
-        << pipelined.outcomes[i].selection.selected_sensors.size()
-        << " (value " << pipelined.outcomes[i].selection.total_value
-        << ", payment " << pipelined.outcomes[i].total_payment << ")";
-  }
-  EXPECT_EQ(sequential.total_payment, pipelined.total_payment);
-  EXPECT_EQ(sequential.valuation_calls, pipelined.valuation_calls);
-}
-
-ClosedLoopConfig PipelineLoopConfig(GreedyEngine scheduler, uint64_t seed) {
-  ClosedLoopConfig config;
-  config.slots = 12;
-  config.queries.queries_per_slot = 24;
-  config.queries.aggregates_per_slot = 4;
-  config.serving.scheduler = scheduler;
-  config.serving.approx.seed = seed;
-  return config;
-}
-
-TEST(PipelinedEquivalenceTest, MatchesSequentialAcrossSchedulers) {
-  // Cross-slot feedback on (energy drain + privacy decay), so the late
-  // reading-commit phase actually changes later announcements; mobility
-  // and churn exercise the staged membership repair and index ops.
-  SensorPopulationConfig profile;
-  profile.linear_energy = true;
-  profile.random_privacy = true;
-  const ChurnScenarioSetup setup = MakeChurnScenario(
-      600, /*churn_fraction=*/0.05, /*seed=*/91, /*with_mobility=*/true,
-      profile);
-  for (GreedyEngine scheduler :
-       {GreedyEngine::kLazy, GreedyEngine::kEager, GreedyEngine::kStochastic,
-        GreedyEngine::kSieve}) {
-    SCOPED_TRACE(testing::Message()
-                 << "scheduler=" << static_cast<int>(scheduler));
-    ExpectPipelinedMatchesSequential(setup,
-                                     PipelineLoopConfig(scheduler, 91));
-  }
-}
-
-TEST(PipelinedEquivalenceTest, MatchesSequentialOnPlainChurnPopulation) {
-  // Fixed announced costs, churn only: the staged repair path with no
-  // feedback patches (the zero-readings early-return) must still merge
-  // membership identically.
-  const ChurnScenarioSetup setup = MakeChurnScenario(
-      500, /*churn_fraction=*/0.08, /*seed=*/17, /*with_mobility=*/true);
-  ExpectPipelinedMatchesSequential(setup,
-                                   PipelineLoopConfig(GreedyEngine::kLazy, 17));
-}
-
-TEST(PipelinedEquivalenceTest, MatchesSequentialInRebuildMode) {
-  // Rebuild mode stages a full BuildSlotContext on the worker. Readings
-  // are off (Validate rejects the pipeline+readings+rebuild combo), so
-  // this pins the announce-everything early phase.
-  const ChurnScenarioSetup setup = MakeChurnScenario(
-      400, /*churn_fraction=*/0.05, /*seed=*/29, /*with_mobility=*/true);
-  ClosedLoopConfig config = PipelineLoopConfig(GreedyEngine::kEager, 29);
-  config.serving.incremental = false;
-  config.serving.record_readings = false;
-  ExpectPipelinedMatchesSequential(setup, config);
-}
-
-TEST(PipelinedEquivalenceTest, MatchesSequentialAcrossThreadCounts) {
-  // The selection thread pool and the staging worker share nothing but
-  // the barrier; worker count must not leak into outcomes.
-  SensorPopulationConfig profile;
-  profile.linear_energy = true;
-  const ChurnScenarioSetup setup = MakeChurnScenario(
-      500, /*churn_fraction=*/0.05, /*seed=*/53, /*with_mobility=*/true,
-      profile);
-  for (int threads : {2, 4}) {
-    SCOPED_TRACE(testing::Message() << "threads=" << threads);
-    ClosedLoopConfig config = PipelineLoopConfig(GreedyEngine::kStochastic, 53);
-    config.serving.threads = threads;
-    ExpectPipelinedMatchesSequential(setup, config);
-  }
-}
-
 TEST(ServingConfigTest, ValidateAcceptsDefaultsAndBuilderChains) {
   EXPECT_TRUE(ServingConfig().Validate().empty());
   const ServingConfig built = ServingConfig()
@@ -756,40 +649,6 @@ TEST(ServingConfigTest, ValidateRejectsBrokenConfigs) {
       ServingConfig().WithRegion(Rect{10, 0, 0, 10}).Validate().empty());
   EXPECT_FALSE(ServingConfig().WithThreads(-1).Validate().empty());
   EXPECT_FALSE(ServingConfig().WithEpsilon(0.0).Validate().empty());
-}
-
-TEST(ServingConfigTest, ValidateChecksPipelineDepth) {
-  // 0/1 mean sequential; 2 is the double-buffered overlap.
-  EXPECT_TRUE(ServingConfig().WithPipeline(0).Validate().empty());
-  EXPECT_TRUE(ServingConfig().WithPipeline(1).Validate().empty());
-  EXPECT_TRUE(ServingConfig().WithPipeline(2).Validate().empty());
-  EXPECT_FALSE(ServingConfig().WithPipeline(-1).Validate().empty());
-  // Depth > 2 would freeze slot t+2's announcements before slot t's
-  // readings land — rejected, not silently clamped.
-  EXPECT_FALSE(ServingConfig().WithPipeline(3).Validate().empty());
-  EXPECT_FALSE(ServingConfig().WithPipeline(4).Validate().empty());
-}
-
-TEST(ServingConfigTest, ValidateRejectsPipelinedReadingsInRebuildMode) {
-  // The rebuild reference path re-announces every sensor in the early
-  // (overlapped) phase, before the current slot's readings commit; the
-  // reordering combo is rejected. Dropping either side is fine.
-  EXPECT_FALSE(ServingConfig()
-                   .WithPipeline(2)
-                   .WithIncremental(false)
-                   .Validate()
-                   .empty());
-  EXPECT_TRUE(ServingConfig()
-                  .WithPipeline(2)
-                  .WithIncremental(false)
-                  .WithRecordReadings(false)
-                  .Validate()
-                  .empty());
-  EXPECT_TRUE(ServingConfig()
-                  .WithPipeline(2)
-                  .WithIncremental(true)
-                  .Validate()
-                  .empty());
 }
 
 }  // namespace

@@ -367,7 +367,8 @@ TEST(TraceFormatStandaloneTest, HostileAggregateParamsRejected) {
     EncodeSlotRecord(record, &bytes);
     TraceSlotRecord decoded;
     std::string error;
-    EXPECT_FALSE(DecodeSlotRecord(bytes.data(), bytes.size(), &decoded, &error))
+    EXPECT_FALSE(DecodeSlotRecord(bytes.data(), bytes.size(), TraceHeader{},
+                                  &decoded, &error))
         << what;
     EXPECT_NE(error.find("aggregate query 7"), std::string::npos)
         << what << ": " << error;
@@ -385,7 +386,8 @@ TEST(TraceFormatStandaloneTest, HostileAggregateParamsRejected) {
   EncodeSlotRecord(record, &bytes);
   TraceSlotRecord decoded;
   std::string error;
-  EXPECT_TRUE(DecodeSlotRecord(bytes.data(), bytes.size(), &decoded, &error))
+  EXPECT_TRUE(DecodeSlotRecord(bytes.data(), bytes.size(), TraceHeader{},
+                               &decoded, &error))
       << error;
   EXPECT_EQ(decoded.aggregate_queries.size(), 3u);
 }
@@ -393,6 +395,8 @@ TEST(TraceFormatStandaloneTest, HostileAggregateParamsRejected) {
 TEST(TraceFormatStandaloneTest, EngineChoiceCountIsZeroOrOne) {
   // Version-2 records carry u32 count + i32 entries; a slot runs one
   // Select, so counts 0 and 1 round-trip and anything larger is rejected.
+  TraceHeader v2;
+  v2.version = kTraceVersionAdaptive;
   for (const bool chosen : {false, true}) {
     TraceSlotRecord record;
     record.time = 4;
@@ -401,8 +405,8 @@ TEST(TraceFormatStandaloneTest, EngineChoiceCountIsZeroOrOne) {
     EncodeSlotRecord(record, &bytes, kTraceVersionAdaptive);
     TraceSlotRecord decoded;
     std::string error;
-    ASSERT_TRUE(DecodeSlotRecord(bytes.data(), bytes.size(), &decoded, &error,
-                                 kTraceVersionAdaptive))
+    ASSERT_TRUE(
+        DecodeSlotRecord(bytes.data(), bytes.size(), v2, &decoded, &error))
         << error;
     EXPECT_EQ(decoded.engine_choice, record.engine_choice);
     std::string reencoded;
@@ -422,8 +426,8 @@ TEST(TraceFormatStandaloneTest, EngineChoiceCountIsZeroOrOne) {
   AppendU32LE(lazy, &bytes);
   TraceSlotRecord decoded;
   std::string error;
-  EXPECT_FALSE(DecodeSlotRecord(bytes.data(), bytes.size(), &decoded, &error,
-                                kTraceVersionAdaptive));
+  EXPECT_FALSE(
+      DecodeSlotRecord(bytes.data(), bytes.size(), v2, &decoded, &error));
   EXPECT_NE(error.find("2 engine choices"), std::string::npos) << error;
 }
 

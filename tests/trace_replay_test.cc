@@ -4,18 +4,25 @@
 // payment, and valuation-call count must match bit for bit — for all
 // four selection engines, for any replayer decode-thread count, and for
 // a stochastic replay whose base seed differs from the recorded run's
-// (the per-slot seeds persisted in the trace carry reproduction).
+// (the per-slot seeds persisted in the trace carry reproduction). Hostile
+// traces — delta ids outside the registry, header values no engine
+// accepts — must come back as replay errors, never as a write past the
+// registry or an abort (the sanitizer CI jobs run this file).
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/workload.h"
 #include "trace/closed_loop.h"
 #include "trace/trace_reader.h"
 #include "trace/trace_replayer.h"
+#include "trace/trace_writer.h"
 
 namespace psens {
 namespace {
@@ -125,53 +132,6 @@ TEST(TraceReplayTest, DecodeThreadCountDoesNotChangeOutcomes) {
   std::remove(path.c_str());
 }
 
-// Pipelined replay (ServingConfig::pipeline == 2) routes through
-// SlotServer::ServeLoop, overlapping slot t+1's staged turnover with
-// slot t's selection; outcomes must still reproduce the live sequential
-// run bit for bit, for any decode-thread count.
-TEST(TraceReplayTest, PipelinedReplayReproducesSequentialLiveRun) {
-  const ChurnScenarioSetup setup = MakeSetup();
-  const std::string path = TracePath("replay_pipelined.trc");
-  const ClosedLoopResult live =
-      RunChurnClosedLoop(setup, MakeLoopConfig(GreedyEngine::kStochastic, path));
-  EXPECT_GT(live.total_payment, 0.0);
-
-  for (int decode_threads : {1, 4}) {
-    SCOPED_TRACE(testing::Message() << "decode_threads=" << decode_threads);
-    ReplayConfig rcfg;
-    rcfg.serving.scheduler = GreedyEngine::kStochastic;
-    rcfg.serving.pipeline = 2;
-    rcfg.decode_threads = decode_threads;
-    const ReplayResult replayed =
-        TraceReplayer(rcfg).Replay(path, setup.scenario.sensors);
-    ASSERT_TRUE(replayed.ok) << replayed.error;
-    ExpectSameOutcomes(live.outcomes, replayed.outcomes);
-  }
-  std::remove(path.c_str());
-}
-
-// A trace recorded under pipelined serving is interchangeable with a
-// sequentially recorded one: the overlapped schedule stages the trace
-// writer's records in the sequential statement order (BeginSlot t ->
-// queries t -> StageDelta t+1), so a sequential replay of a pipelined
-// recording reproduces the pipelined live run.
-TEST(TraceReplayTest, PipelinedRecordingReplaysSequentially) {
-  const ChurnScenarioSetup setup = MakeSetup();
-  const std::string path = TracePath("replay_pipelined_rec.trc");
-  ClosedLoopConfig lcfg = MakeLoopConfig(GreedyEngine::kLazy, path);
-  lcfg.serving.pipeline = 2;
-  const ClosedLoopResult live = RunChurnClosedLoop(setup, lcfg);
-  EXPECT_GT(live.total_payment, 0.0);
-
-  ReplayConfig rcfg;
-  rcfg.serving.scheduler = GreedyEngine::kLazy;
-  const ReplayResult replayed =
-      TraceReplayer(rcfg).Replay(path, setup.scenario.sensors);
-  ASSERT_TRUE(replayed.ok) << replayed.error;
-  ExpectSameOutcomes(live.outcomes, replayed.outcomes);
-  std::remove(path.c_str());
-}
-
 // The ApproxSlotSeed persistence regression (the satellite fix): every
 // slot record carries the seed the recording engine stamped, and the
 // replayer pins it, so a stochastic replay reproduces the live
@@ -255,6 +215,90 @@ TEST(TraceReplayTest, RecordedTraceHasOneRecordPerServedSlot) {
   EXPECT_EQ(static_cast<int>(record.point_queries.size()), 24);
   EXPECT_EQ(static_cast<int>(record.aggregate_queries.size()), 4);
   EXPECT_FALSE(record.delta.empty());
+  std::remove(path.c_str());
+}
+
+/// A two-slot trace (empty cold build, then an empty slot 1) that
+/// `registry` passes the replayer's registry checks against; the hostile
+/// tests below corrupt one field of it.
+TraceData ValidTrace(const ChurnScenarioSetup& setup) {
+  TraceData data;
+  data.header.registry_count =
+      static_cast<uint32_t>(setup.scenario.sensors.size());
+  data.header.registry_checksum = RegistryChecksum(setup.scenario.sensors);
+  data.header.dmax = setup.dmax;
+  data.header.working_region = setup.field;
+  data.slots.resize(2);
+  data.slots[1].time = 1;
+  return data;
+}
+
+TEST(TraceReplayTest, OutOfRangeDeltaSensorIdIsRefused) {
+  const ChurnScenarioSetup setup = MakeSetup();
+  const std::string path = TracePath("replay_bad_id.trc");
+  {
+    // The untouched trace replays: the refusals below come from the id.
+    ASSERT_TRUE(WriteTraceFile(path, ValidTrace(setup)));
+    const ReplayResult ok =
+        TraceReplayer(ReplayConfig{}).Replay(path, setup.scenario.sensors);
+    ASSERT_TRUE(ok.ok) << ok.error;
+  }
+  const Point p{1.0, 1.0};
+  using AddId = std::function<void(SensorDelta&, int)>;
+  const std::vector<std::pair<const char*, AddId>> kinds = {
+      {"arrival",
+       [&](SensorDelta& d, int id) { d.arrivals.push_back({id, p}); }},
+      {"departure", [](SensorDelta& d, int id) { d.departures.push_back(id); }},
+      {"move", [&](SensorDelta& d, int id) { d.moves.push_back({id, p}); }},
+      {"price-change",
+       [](SensorDelta& d, int id) { d.price_changes.push_back({id, 2.0}); }},
+  };
+  for (int id : {1000000, kSensors, -5, std::numeric_limits<int>::min()}) {
+    for (const auto& [kind, add] : kinds) {
+      SCOPED_TRACE(testing::Message() << kind << " id " << id);
+      TraceData data = ValidTrace(setup);
+      add(data.slots[1].delta, 3);  // a valid id ahead of the bad one
+      add(data.slots[1].delta, id);
+      ASSERT_TRUE(WriteTraceFile(path, data));
+      const ReplayResult r =
+          TraceReplayer(ReplayConfig{}).Replay(path, setup.scenario.sensors);
+      EXPECT_FALSE(r.ok);
+      EXPECT_NE(r.error.find("corrupt slot record: " + std::string(kind) +
+                             " sensor id " + std::to_string(id)),
+                std::string::npos)
+          << r.error;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TraceReplayTest, InvalidHeaderConfigIsAnErrorNotAnAbort) {
+  const ChurnScenarioSetup setup = MakeSetup();
+  const std::string path = TracePath("replay_bad_header.trc");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<const char*, std::function<void(TraceHeader&)>>>
+      cases = {
+          {"negative dmax", [](TraceHeader& h) { h.dmax = -1.0; }},
+          {"zero dmax", [](TraceHeader& h) { h.dmax = 0.0; }},
+          {"NaN dmax", [&](TraceHeader& h) { h.dmax = nan; }},
+          {"inverted region",
+           [](TraceHeader& h) {
+             std::swap(h.working_region.x_min, h.working_region.x_max);
+           }},
+          {"zero epsilon", [](TraceHeader& h) { h.epsilon = 0.0; }},
+          {"negative epsilon", [](TraceHeader& h) { h.epsilon = -0.5; }},
+      };
+  for (const auto& [what, corrupt] : cases) {
+    SCOPED_TRACE(what);
+    TraceData data = ValidTrace(setup);
+    corrupt(data.header);
+    ASSERT_TRUE(WriteTraceFile(path, data));
+    const ReplayResult r =
+        TraceReplayer(ReplayConfig{}).Replay(path, setup.scenario.sensors);
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("invalid serving config"), std::string::npos)
+        << r.error;
+  }
   std::remove(path.c_str());
 }
 
