@@ -4,7 +4,7 @@
 //
 // ServingConfig::threads sizes the engine's pool, which the greedy
 // engines use to split each round's valuation batch and slot turnover
-// uses for the membership-merge copy. Outcomes are bit-identical for
+// uses for the membership-merge row moves. Outcomes are bit-identical for
 // every thread count by construction; the pool only buys throughput.
 // This sweep measures that buy: closed-loop slots/sec over the churn
 // scenario (1% churn) at 100k (and, full mode, 1M) sensors.

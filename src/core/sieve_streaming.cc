@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
-#include <unordered_map>
 #include <utility>
 
 #include "common/rng.h"
@@ -14,18 +13,6 @@
 
 namespace psens {
 namespace {
-
-/// Slot index of a global sensor id, or -1 when the sensor is not a slot
-/// member. Slot sensors ascend by sensor_id (BuildSlotContext walks the
-/// id-dense registry in order; the engine maintains a sorted member
-/// array), so a binary search suffices.
-int SlotIndexOf(const SlotContext& slot, int sensor_id) {
-  const auto it = std::lower_bound(
-      slot.sensors.begin(), slot.sensors.end(), sensor_id,
-      [](const SlotSensor& s, int id) { return s.sensor_id < id; });
-  if (it == slot.sensors.end() || it->sensor_id != sensor_id) return -1;
-  return it->index;
-}
 
 double ClampEpsilon(double epsilon) {
   // The lower clamp bounds the threshold-grid size: the graded bucket
@@ -40,13 +27,6 @@ double ClampEpsilon(double epsilon) {
 /// sieve into an accidental hang (the floor bucket is extra).
 constexpr int kMaxGradedBuckets = 64;
 
-/// Refinement-bench capacity: how many of the best-singleton-net
-/// candidates stay in refinement contention across slots. Bounds the
-/// refinement pool (hence per-slot refinement cost) independent of the
-/// population; sized to comfortably exceed the selection sizes the
-/// budget-limited workloads produce.
-constexpr size_t kRefineBenchSize = 1024;
-
 /// Per-slot exploration sample fed into the refinement pool: a seeded
 /// uniform draw from the slot's candidate scan set. Bucket state and the
 /// bench only ever grow through the *streamed* sensors (arrivals, after
@@ -56,7 +36,52 @@ constexpr size_t kRefineBenchSize = 1024;
 /// persistent hotspots, so sampled winners accumulate in the bench.
 constexpr size_t kRefineSampleSize = 1536;
 
+/// The bench's (net desc, id asc) order.
+bool BenchBefore(const sieve_detail::BenchEntry& a,
+                 const sieve_detail::BenchEntry& b) {
+  if (a.first != b.first) return a.first > b.first;
+  return a.second < b.second;
+}
+
 }  // namespace
+
+namespace sieve_detail {
+
+void TrimRefineBench(std::vector<BenchEntry>* bench) {
+  const size_t keep = std::min(bench->size(), kRefineBenchSize);
+  std::partial_sort(bench->begin(), bench->begin() + keep, bench->end(),
+                    BenchBefore);
+  bench->resize(keep);
+}
+
+void MergeRefineBench(std::vector<BenchEntry>* bench,
+                      const std::vector<BenchEntry>& fresh,
+                      const SlotContext& slot) {
+  const auto by_id = [](const BenchEntry& a, const BenchEntry& b) {
+    return a.second < b.second;
+  };
+  std::vector<BenchEntry> carried;
+  carried.reserve(bench->size());
+  for (const BenchEntry& e : *bench) {
+    if (slot.SlotIndexOf(e.second) >= 0) carried.push_back(e);
+  }
+  std::sort(carried.begin(), carried.end(), by_id);
+  bench->clear();
+  bench->reserve(carried.size() + fresh.size());
+  size_t c = 0;
+  for (const BenchEntry& e : fresh) {
+    while (c < carried.size() && carried[c].second < e.second) {
+      bench->push_back(carried[c++]);
+    }
+    if (c < carried.size() && carried[c].second == e.second) ++c;
+    bench->push_back(e);  // the newest observation wins
+  }
+  bench->insert(bench->end(), carried.begin() + static_cast<std::ptrdiff_t>(c),
+                carried.end());
+  TrimRefineBench(bench);
+}
+
+}  // namespace sieve_detail
 
 SieveStreamingScheduler::SieveStreamingScheduler(const ApproxParams& params)
     : epsilon_(ClampEpsilon(params.epsilon)) {}
@@ -158,7 +183,7 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
     offered.assign(scan.begin(), scan.end());
   } else {
     for (int id : arrival_ids) {
-      const int idx = SlotIndexOf(slot, id);
+      const int idx = slot.SlotIndexOf(id);
       if (idx >= 0) offered.push_back(idx);
     }
     std::sort(offered.begin(), offered.end());
@@ -183,28 +208,15 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
   // sensor left the slot are dropped (a returning sensor re-enters via
   // the arrival/move stream).
   if (slot.approx.sieve_refine) {
-    std::unordered_map<int, double> merged;
-    merged.reserve(bench_.size() + offered.size());
-    for (const auto& [net, gid] : bench_) {
-      if (SlotIndexOf(slot, gid) >= 0) merged.emplace(gid, net);
-    }
+    // Offered slot indices ascend, and so do their sensor ids.
+    std::vector<sieve_detail::BenchEntry> fresh;
+    fresh.reserve(offered.size());
     for (size_t k = 0; k < offered.size(); ++k) {
       if (net0[k] <= 0.0) continue;
-      const int gid =
-          slot.sensors[static_cast<size_t>(offered[k])].sensor_id;
-      merged[gid] = net0[k];  // newest observation wins
+      fresh.emplace_back(
+          net0[k], slot.sensors[static_cast<size_t>(offered[k])].sensor_id);
     }
-    bench_.clear();
-    bench_.reserve(merged.size());
-    for (const auto& [gid, net] : merged) bench_.emplace_back(net, gid);
-    // (net desc, gid asc): deterministic regardless of map order.
-    std::sort(bench_.begin(), bench_.end(),
-              [](const std::pair<double, int>& a,
-                 const std::pair<double, int>& b) {
-                if (a.first != b.first) return a.first > b.first;
-                return a.second < b.second;
-              });
-    if (bench_.size() > kRefineBenchSize) bench_.resize(kRefineBenchSize);
+    sieve_detail::MergeRefineBench(&bench_, fresh, slot);
   }
 
   double best_utility = 0.0;
@@ -223,7 +235,7 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
     // positive net, not the full threshold, so marginal price jitter does
     // not thrash the bucket).
     for (int gid : bucket.members) {
-      const int idx = SlotIndexOf(slot, gid);
+      const int idx = slot.SlotIndexOf(gid);
       if (idx < 0) continue;
       if (evaluator.EvaluateNet(idx) <= 0.0) continue;
       cost_sum += CommitWithProportionalPayments(queries, plan, slot, idx);
@@ -266,7 +278,7 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
   double winner_cost = 0.0;
   if (best_bucket >= 0) {
     for (int gid : buckets_[static_cast<size_t>(best_bucket)].members) {
-      const int idx = SlotIndexOf(slot, gid);
+      const int idx = slot.SlotIndexOf(gid);
       if (idx < 0) continue;
       winner_cost += CommitWithProportionalPayments(queries, plan, slot, idx);
       winner_sel.push_back(idx);
@@ -294,12 +306,12 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
     std::vector<int> pool;
     for (const Bucket& bucket : buckets_) {
       for (int gid : bucket.members) {
-        const int idx = SlotIndexOf(slot, gid);
+        const int idx = slot.SlotIndexOf(gid);
         if (idx >= 0) pool.push_back(idx);
       }
     }
     for (const auto& [net, gid] : bench_) {
-      const int idx = SlotIndexOf(slot, gid);
+      const int idx = slot.SlotIndexOf(gid);
       if (idx >= 0) pool.push_back(idx);
     }
     {
@@ -354,13 +366,7 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
       bench_.emplace_back(
           fill[k], slot.sensors[static_cast<size_t>(pool[k])].sensor_id);
     }
-    std::sort(bench_.begin(), bench_.end(),
-              [](const std::pair<double, int>& a,
-                 const std::pair<double, int>& b) {
-                if (a.first != b.first) return a.first > b.first;
-                return a.second < b.second;
-              });
-    if (bench_.size() > kRefineBenchSize) bench_.resize(kRefineBenchSize);
+    sieve_detail::TrimRefineBench(&bench_);
     const auto worse = [](const HeapEntry& a, const HeapEntry& b) {
       if (a.net != b.net) return a.net < b.net;
       return a.idx > b.idx;

@@ -1,6 +1,8 @@
 #ifndef PSENS_CORE_SIEVE_STREAMING_H_
 #define PSENS_CORE_SIEVE_STREAMING_H_
 
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "core/greedy.h"
@@ -10,6 +12,32 @@
 namespace psens {
 
 struct SensorDelta;
+
+namespace sieve_detail {
+
+/// Refinement-bench capacity: how many of the best-singleton-net
+/// candidates stay in refinement contention across slots. Bounds the
+/// refinement pool (hence per-slot refinement cost) independent of the
+/// population; sized to comfortably exceed the selection sizes the
+/// budget-limited workloads produce.
+inline constexpr size_t kRefineBenchSize = 1024;
+
+/// A refinement-bench entry: (singleton net, global sensor id).
+using BenchEntry = std::pair<double, int>;
+
+/// Keeps the top kRefineBenchSize entries of `bench`, distinct ids, in
+/// (net desc, id asc) order.
+void TrimRefineBench(std::vector<BenchEntry>* bench);
+
+/// Bench upkeep after a slot's stream: the entries of `bench` whose
+/// sensor is still a member of `slot`, merged by id with `fresh` (the
+/// slot's positive singleton nets, distinct ids ascending), where the
+/// fresh net wins; then trimmed (TrimRefineBench).
+void MergeRefineBench(std::vector<BenchEntry>* bench,
+                      const std::vector<BenchEntry>& fresh,
+                      const SlotContext& slot);
+
+}  // namespace sieve_detail
 
 /// Sieve-streaming (Badanidiyuru et al.) selection for the Algorithm 1
 /// objective sum_q delta-v - cost. Instead of ranking candidates round by
@@ -106,11 +134,11 @@ class SieveStreamingScheduler {
   std::vector<Bucket> buckets_;  // descending tau; floor bucket last
   std::vector<int> winner_members_;
   /// Refinement bench (ApproxParams::sieve_refine): the top streamed
-  /// candidates by singleton net, (net, global id) sorted descending,
-  /// capped — sensors no bucket accepted but whose singleton net says
-  /// they belong in refinement contention. Maintained only when
+  /// candidates by singleton net, (net, global id) in (net desc, id asc)
+  /// order, capped — sensors no bucket accepted but whose singleton net
+  /// says they belong in refinement contention. Maintained only when
   /// refinement is on.
-  std::vector<std::pair<double, int>> bench_;
+  std::vector<sieve_detail::BenchEntry> bench_;
 };
 
 /// One-shot per-slot sieve selection — what GreedyEngine::kSieve in

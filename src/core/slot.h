@@ -1,6 +1,7 @@
 #ifndef PSENS_CORE_SLOT_H_
 #define PSENS_CORE_SLOT_H_
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -105,6 +106,14 @@ struct SlotSlabs {
 
   size_t size() const { return x.size(); }
 
+  void Reserve(size_t n) {
+    x.reserve(n);
+    y.reserve(n);
+    cost.reserve(n);
+    inaccuracy.reserve(n);
+    trust.reserve(n);
+  }
+
   void Resize(size_t n) {
     x.resize(n);
     y.resize(n);
@@ -132,6 +141,12 @@ struct SlotContext {
   /// (d_max of Eq. 4). Experiment-wide constant in the paper.
   double dmax = 5.0;
   std::vector<SlotSensor> sensors;
+  /// Global sensor id -> index into `sensors`, -1 for non-members (ids
+  /// past the end are non-members too). BuildSlotContext fills it and the
+  /// engine's slot turnover maintains it; empty on hand-assembled
+  /// contexts (MapSlotIds fills one), which makes SlotIndexOf fall back
+  /// to a binary search of `sensors`.
+  std::vector<int> slot_pos;
   SlotIndexPolicy index_policy = SlotIndexPolicy::kAuto;
   /// Minimum population for which kAuto builds an index (ablation knob;
   /// bench CLIs expose it as --index-threshold).
@@ -168,15 +183,45 @@ struct SlotContext {
   bool SlabsSynced() const {
     return use_soa && slabs.size() == sensors.size();
   }
+
+  /// Slot index of global sensor `sensor_id`, or -1 when it is not a
+  /// member: a lookup in `slot_pos`, or — on a context without the map —
+  /// a binary search of `sensors`, which ascend by sensor_id.
+  int SlotIndexOf(int sensor_id) const {
+    if (!slot_pos.empty()) {
+      return sensor_id >= 0 &&
+                     static_cast<size_t>(sensor_id) < slot_pos.size()
+                 ? slot_pos[static_cast<size_t>(sensor_id)]
+                 : -1;
+    }
+    const auto it = std::lower_bound(
+        sensors.begin(), sensors.end(), sensor_id,
+        [](const SlotSensor& s, int id) { return s.sensor_id < id; });
+    if (it == sensors.end() || it->sensor_id != sensor_id) return -1;
+    return it->index;
+  }
 };
+
+/// Rebuilds `slot.slot_pos` from `slot.sensors` (whose .index fields must
+/// be their positions), sized to at least `id_count` ids.
+inline void MapSlotIds(SlotContext& slot, size_t id_count = 0) {
+  for (const SlotSensor& ss : slot.sensors) {
+    id_count = std::max(id_count, static_cast<size_t>(ss.sensor_id) + 1);
+  }
+  slot.slot_pos.assign(id_count, -1);
+  for (const SlotSensor& ss : slot.sensors) {
+    slot.slot_pos[static_cast<size_t>(ss.sensor_id)] = ss.index;
+  }
+}
 
 /// (Re)builds `slot.index` from `slot.sensors` per `slot.index_policy`.
 /// Defined in src/index/spatial_index.cc.
 void AttachSlotIndex(SlotContext& slot);
 
 /// Builds the slot context from the sensor registry: available sensors
-/// inside `working_region` announce their location and cost. Attaches the
-/// spatial index per `index_policy`.
+/// inside `working_region` announce their location and cost. Fills the
+/// id -> slot map for every registry id and attaches the spatial index
+/// per `index_policy`.
 inline SlotContext BuildSlotContext(const std::vector<Sensor>& sensors,
                                     const Rect& working_region, int time,
                                     double dmax,
@@ -203,6 +248,11 @@ inline SlotContext BuildSlotContext(const std::vector<Sensor>& sensors,
   for (const SlotSensor& ss : ctx.sensors) {
     ctx.slabs.SetRow(static_cast<size_t>(ss.index), ss);
   }
+  size_t id_count = 0;
+  for (const Sensor& s : sensors) {
+    id_count = std::max(id_count, static_cast<size_t>(s.id()) + 1);
+  }
+  MapSlotIds(ctx, id_count);
   AttachSlotIndex(ctx);
   return ctx;
 }

@@ -62,7 +62,6 @@ AcquisitionEngine::AcquisitionEngine(std::vector<Sensor> sensors,
   ctx_.dmax = config_.dmax;
   ctx_.index_policy = config_.index_policy;
   ctx_.index_auto_threshold = config_.index_auto_threshold;
-  slot_pos_.assign(static_cast<size_t>(n), -1);
   if (config_.threads != 1) {
     pool_ = std::make_unique<ThreadPool>(config_.threads);
   }
@@ -83,6 +82,11 @@ AcquisitionEngine::AcquisitionEngine(std::vector<Sensor> sensors,
     trace_ = TraceWriter::Open(config_.trace_path, header);
   }
   if (!config_.incremental) return;
+  // The membership merge runs in place: reserving the registry size once
+  // means growth never reallocates.
+  ctx_.slot_pos.assign(static_cast<size_t>(n), -1);
+  ctx_.sensors.reserve(static_cast<size_t>(n));
+  ctx_.slabs.Reserve(static_cast<size_t>(n));
   changed_flag_.assign(static_cast<size_t>(n), 0);
   cost_dirty_.assign(static_cast<size_t>(n), 0);
   privacy_flag_.assign(static_cast<size_t>(n), 0);
@@ -201,7 +205,7 @@ void AcquisitionEngine::RefreshMember(int id, int time) {
   const Sensor& s = sensors_[id];
   const bool member =
       s.available() && config_.working_region.Contains(s.position());
-  const int pos = slot_pos_[id];
+  const int pos = ctx_.slot_pos[id];
   if (member && pos < 0) {
     pending_insert_.push_back(id);
     index_ops_.push_back(IndexOp{IndexOp::kInsert, id, s.position()});
@@ -242,11 +246,10 @@ void AcquisitionEngine::RebuildMembership(int time) {
   assert(std::is_sorted(pending_insert_.begin(), pending_insert_.end()));
   assert(std::is_sorted(pending_remove_.begin(), pending_remove_.end()));
   MergeSortedMembership(
-      &ctx_.sensors, &merge_scratch_, &slot_pos_, pending_insert_,
-      pending_remove_,
+      &ctx_, pending_insert_, pending_remove_,
       [&](SlotSensor& ss, int id) { FillInserted(ss, id, time); },
-      &ctx_.slabs, &slab_scratch_, pool_.get(), [&] {
-        // Latency-bound and id-keyed, the ops run while the copy saturates
+      pool_.get(), [&] {
+        // Latency-bound and id-keyed, the ops run while the moves saturate
         // memory bandwidth; on this thread, so grid-cell spills are not
         // allocated from pool workers' malloc arenas.
         ApplyIndexOps(index_.get(), index_ops_);
@@ -267,7 +270,7 @@ void AcquisitionEngine::AttachIndex() {
     return;
   }
   if (view_ == nullptr) {
-    view_ = std::make_shared<SlotIndexView>(index_.get(), &slot_pos_);
+    view_ = std::make_shared<SlotIndexView>(index_.get(), &ctx_.slot_pos);
   }
   ctx_.index = view_;
 }
@@ -311,7 +314,7 @@ const SlotContext& AcquisitionEngine::BeginSlot(int time) {
       continue;
     }
     const Sensor& s = sensors_[id];
-    const int pos = slot_pos_[id];
+    const int pos = ctx_.slot_pos[id];
     if (pos >= 0) {
       ctx_.sensors[static_cast<size_t>(pos)].cost = s.Cost(time);
       ctx_.slabs.cost[static_cast<size_t>(pos)] =
@@ -331,7 +334,7 @@ const SlotContext& AcquisitionEngine::BeginSlot(int time) {
   // slot_pos accesses into forward sweeps (and hands RebuildMembership
   // pre-sorted pending lists).
   SortChanged();
-  // The cold build's merge copies nothing to overlap, so its inserts apply
+  // The cold build's merge moves nothing to overlap, so its inserts apply
   // as they are found: index_ops_'s capacity follows churn, not n.
   const bool cold_build = ctx_.sensors.empty();
   for (int id : changed_) {

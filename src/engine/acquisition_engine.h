@@ -62,8 +62,8 @@ class AcquisitionEngine {
   ~AcquisitionEngine();
 
   // Pinned: the slot context's index view holds pointers into this
-  // object (slot_pos_, the dynamic index), so a moved-from or copied
-  // engine would hand schedulers dangling state.
+  // object (the context's slot_pos, the dynamic index), so a moved-from
+  // or copied engine would hand schedulers dangling state.
   AcquisitionEngine(const AcquisitionEngine&) = delete;
   AcquisitionEngine& operator=(const AcquisitionEngine&) = delete;
   AcquisitionEngine(AcquisitionEngine&&) = delete;
@@ -154,8 +154,8 @@ class AcquisitionEngine {
   class SlotIndexView;
 
   /// One dynamic-index mutation. Turnover batches a slot's ops so they
-  /// apply on the serving thread while the pool copies the membership
-  /// merge.
+  /// apply on the serving thread while the pool moves the membership
+  /// merge's rows.
   struct IndexOp {
     enum Kind { kInsert, kRemove, kMove };
     Kind kind;
@@ -176,8 +176,8 @@ class AcquisitionEngine {
   void RefreshMember(int id, int time);
   /// The merge's `fill` for an inserted member: its announcement at `time`.
   void FillInserted(SlotSensor& ss, int id, int time);
-  /// Merges pending_insert_/pending_remove_ into the membership, applying
-  /// index_ops_ on this thread while the pool copies.
+  /// Merges pending_insert_/pending_remove_ into the membership in place,
+  /// applying index_ops_ on this thread while the pool moves rows.
   void RebuildMembership(int time);
   void AttachIndex();
   /// Runs one engine over the slot, owning the sieve lifecycle: the
@@ -192,10 +192,10 @@ class AcquisitionEngine {
   ServingConfig config_;
   /// The sensor registry.
   std::vector<Sensor> sensors_;
-  /// The current slot's context.
+  /// The current slot's context. In incremental mode its slot_pos is the
+  /// engine's id -> slot map: sized to the registry, maintained by the
+  /// membership merge, and read by the index view and the schedulers.
   SlotContext ctx_;
-  /// id -> position in ctx_.sensors, or -1 when not a member.
-  std::vector<int> slot_pos_;
   /// The id-keyed dynamic index (incremental mode with an index policy)
   /// and the slot-indexed view of it handed to schedulers.
   std::unique_ptr<DynamicSpatialIndex> index_;
@@ -215,15 +215,9 @@ class AcquisitionEngine {
   std::vector<int> pending_insert_;
   std::vector<int> pending_remove_;
   /// The slot's index ops in refresh order, applied on the serving thread
-  /// as the merge's `overlap` — while the pool copies, when it does — or
-  /// after the refresh loop if no merge runs.
+  /// as the merge's `overlap` — while the pool moves rows, when it does —
+  /// or after the refresh loop if no merge runs.
   std::vector<IndexOp> index_ops_;
-  /// Merge target whose capacity persists across slots (swapped with
-  /// ctx_.sensors after each membership rebuild).
-  std::vector<SlotSensor> merge_scratch_;
-  /// Slab-column merge target, swapped with ctx_.slabs in lockstep with
-  /// merge_scratch_ (engine/membership_merge.h).
-  SlotSlabs slab_scratch_;
   /// Slot-lifetime scratch arena handed to schedulers through
   /// SlotContext::arena; reset at every BeginSlot.
   SlotArena arena_;

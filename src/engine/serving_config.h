@@ -42,7 +42,7 @@ struct ServingConfig {
   /// Worker threads: BeginSlot attaches an engine-owned ThreadPool to
   /// SlotContext::pool, which the greedy engines use to split each
   /// round's valuation batch and turnover uses for the membership-merge
-  /// copy. 1 (default) = serial, no pool; 0 = hardware concurrency;
+  /// row moves. 1 (default) = serial, no pool; 0 = hardware concurrency;
   /// N > 1 = that many workers. Selections, payments, and
   /// ValuationCalls() are bit-identical for every value — the knob only
   /// buys wall-clock (bench/fig12_streaming --threads,

@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -373,6 +375,104 @@ TEST(SieveStreamingTest, SelectDeltaMatchesSelectArrivals) {
   EXPECT_EQ(via_delta.selected_sensors, via_ids.result.selected_sensors);
   EXPECT_EQ(via_delta.total_value, via_ids.result.total_value);
   EXPECT_EQ(via_delta.total_cost, via_ids.result.total_cost);
+}
+
+// The sieve resolves carried ids through SlotContext::SlotIndexOf: the
+// id -> slot map (engine contexts) and the sorted-search fallback
+// (hand-assembled contexts) give identical outcomes across a full
+// stream, a slot with departures and a slot with an arrival.
+TEST(SieveStreamingTest, IdMapAndSortedSearchAgreeAcrossSlots) {
+  const SlotContext first = MakeUniformThetaSlot(80, 61);
+  SieveStreamingScheduler searched_sieve;
+  const SieveSlotRun initial = RunSieveSlot(searched_sieve, first, 8, 62, nullptr);
+  ASSERT_GE(initial.selected_ids.size(), 2u);
+  SlotContext second = RestrictSlot(
+      first, {initial.selected_ids[0], initial.selected_ids[1], 7});
+  SlotContext third = second;
+  third.time = second.time + 1;
+  SlotSensor arrival;
+  arrival.index = static_cast<int>(third.sensors.size());
+  arrival.sensor_id = 200;
+  arrival.location = Point{20.0, 20.0};
+  arrival.cost = 0.2;
+  arrival.inaccuracy = 0.0;
+  arrival.trust = 1.0;
+  third.sensors.push_back(arrival);
+  const std::vector<int> departures_only;
+  const std::vector<int> arrivals{200};
+
+  SieveStreamingScheduler searched;
+  SieveStreamingScheduler mapped;
+  const std::vector<std::pair<const SlotContext*, const std::vector<int>*>>
+      slots = {{&first, nullptr}, {&second, &departures_only},
+               {&third, &arrivals}};
+  for (const auto& [slot, offered] : slots) {
+    SCOPED_TRACE(slot->time);
+    ASSERT_TRUE(slot->slot_pos.empty());
+    SlotContext with_map = *slot;
+    MapSlotIds(with_map);
+    const SieveSlotRun a = RunSieveSlot(searched, *slot, 8, 62, offered);
+    const SieveSlotRun b = RunSieveSlot(mapped, with_map, 8, 62, offered);
+    EXPECT_EQ(a.selected_ids, b.selected_ids);
+    EXPECT_EQ(a.result.total_value, b.result.total_value);
+    EXPECT_EQ(a.result.total_cost, b.result.total_cost);
+    EXPECT_EQ(a.result.valuation_calls, b.result.valuation_calls);
+    EXPECT_EQ(searched.winner_members(), mapped.winner_members());
+  }
+}
+
+// Refinement-bench upkeep by sort and merge equals the hash-map rebuild
+// it replaced: carried entries of departed sensors drop out, a fresh net
+// replaces a carried one, and the kept top entries come in the same
+// (net desc, id asc) order, ties in net included.
+TEST(SieveStreamingTest, RefineBenchMergeMatchesHashMapRebuild) {
+  using sieve_detail::BenchEntry;
+  const int registry = 3000;
+  for (int trial = 0; trial < 30; ++trial) {
+    SCOPED_TRACE(trial);
+    Rng rng(7000 + static_cast<uint64_t>(trial));
+    SlotContext slot;
+    for (int id = 0; id < registry; ++id) {
+      if (rng.Uniform(0.0, 1.0) < 0.3) continue;
+      SlotSensor s;
+      s.index = static_cast<int>(slot.sensors.size());
+      s.sensor_id = id;
+      slot.sensors.push_back(s);
+    }
+    MapSlotIds(slot, registry);
+    // Coarse nets, so many entries tie on net and order by id.
+    const auto net = [&] { return 0.5 * static_cast<double>(rng.UniformInt(1, 40)); };
+    const double carried_share = rng.Uniform(0.0, 0.5);
+    const double fresh_share = rng.Uniform(0.0, 0.9);
+    std::vector<BenchEntry> bench;
+    std::vector<BenchEntry> fresh;
+    for (int id = 0; id < registry; ++id) {
+      if (rng.Uniform(0.0, 1.0) < carried_share) bench.emplace_back(net(), id);
+      if (slot.SlotIndexOf(id) >= 0 && rng.Uniform(0.0, 1.0) < fresh_share) {
+        fresh.emplace_back(net(), id);
+      }
+    }
+    if (bench.size() > sieve_detail::kRefineBenchSize) {
+      bench.resize(sieve_detail::kRefineBenchSize);
+    }
+    std::unordered_map<int, double> merged;
+    for (const auto& [v, id] : bench) {
+      if (slot.SlotIndexOf(id) >= 0) merged.emplace(id, v);
+    }
+    for (const auto& [v, id] : fresh) merged[id] = v;
+    std::vector<BenchEntry> want;
+    for (const auto& [id, v] : merged) want.emplace_back(v, id);
+    std::sort(want.begin(), want.end(),
+              [](const BenchEntry& a, const BenchEntry& b) {
+                if (a.first != b.first) return a.first > b.first;
+                return a.second < b.second;
+              });
+    if (want.size() > sieve_detail::kRefineBenchSize) {
+      want.resize(sieve_detail::kRefineBenchSize);
+    }
+    sieve_detail::MergeRefineBench(&bench, fresh, slot);
+    EXPECT_EQ(bench, want);
+  }
 }
 
 TEST(ApproxSchedulerTest, ExperimentPlumbingDrivesApproxEngines) {

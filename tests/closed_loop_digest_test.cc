@@ -1,6 +1,9 @@
-// Pinned outcome digest of the closed serving loop at a realistic
-// aggregate shape: 10k clustered sensors, 1% churn, 64 point + 8
-// aggregate queries per slot, lazy greedy, one thread, 12 served slots.
+// Pinned outcome digests of the closed serving loop. The first case is a
+// realistic aggregate shape: 10k clustered sensors, 1% churn, 64 point +
+// 8 aggregate queries per slot, lazy greedy, one thread, 12 served slots.
+// The second pins the pooled turnover path: 50k sensors with mobility,
+// the sieve scheduler and four threads, so every slot's membership merge
+// moves enough rows to run on the engine's pool.
 // The FNV-1a digest covers every deterministic outcome field (the ones
 // SameOutcome compares): selections, values, costs, valuation calls and
 // payments. Any change to binding, selection or payment arithmetic that
@@ -27,6 +30,7 @@ namespace {
 // that Debug builds arm (core/candidate_pruning.cc) probes without
 // counting, so valuation calls agree with Release.
 constexpr uint64_t kPinnedDigest = 0x97207d3ee90e359fULL;
+constexpr uint64_t kPinnedPooledSieveDigest = 0xa1ca0ed744c8e685ULL;
 
 /// FNV-1a over the deterministic fields of the outcomes, in the field
 /// order of perfbench's outcome digest.
@@ -56,19 +60,11 @@ class OutcomeDigest {
   uint64_t h_ = 1469598103934665603ULL;
 };
 
-TEST(ClosedLoopDigestTest, MixedWorkloadOutcomesArePinned) {
-  const ChurnScenarioSetup setup =
-      MakeChurnScenario(10000, /*churn_fraction=*/0.01, /*seed=*/1,
-                        /*with_mobility=*/false);
-  ClosedLoopConfig config;
-  config.slots = 12;
-  config.queries.queries_per_slot = 64;
-  config.queries.aggregates_per_slot = 8;
-  config.serving.scheduler = GreedyEngine::kLazy;
-  config.serving.threads = 1;
+/// Runs the closed loop and checks its outcome digest against `pinned`.
+void ExpectPinnedDigest(const ChurnScenarioSetup& setup,
+                        const ClosedLoopConfig& config, uint64_t pinned) {
   const ClosedLoopResult result = RunChurnClosedLoop(setup, config);
-
-  ASSERT_EQ(result.outcomes.size(), 13u);
+  ASSERT_EQ(result.outcomes.size(), static_cast<size_t>(config.slots) + 1);
   size_t selected = 0;
   OutcomeDigest digest;
   for (const SlotOutcome& o : result.outcomes) {
@@ -79,7 +75,33 @@ TEST(ClosedLoopDigestTest, MixedWorkloadOutcomesArePinned) {
   char hex[17];
   std::snprintf(hex, sizeof(hex), "%016llx",
                 static_cast<unsigned long long>(digest.value()));
-  EXPECT_EQ(digest.value(), kPinnedDigest) << "digest " << hex;
+  EXPECT_EQ(digest.value(), pinned) << "digest " << hex;
+}
+
+TEST(ClosedLoopDigestTest, MixedWorkloadOutcomesArePinned) {
+  const ChurnScenarioSetup setup =
+      MakeChurnScenario(10000, /*churn_fraction=*/0.01, /*seed=*/1,
+                        /*with_mobility=*/false);
+  ClosedLoopConfig config;
+  config.slots = 12;
+  config.queries.queries_per_slot = 64;
+  config.queries.aggregates_per_slot = 8;
+  config.serving.scheduler = GreedyEngine::kLazy;
+  config.serving.threads = 1;
+  ExpectPinnedDigest(setup, config, kPinnedDigest);
+}
+
+TEST(ClosedLoopDigestTest, PooledSieveTurnoverOutcomesArePinned) {
+  const ChurnScenarioSetup setup =
+      MakeChurnScenario(50000, /*churn_fraction=*/0.01, /*seed=*/1,
+                        /*with_mobility=*/true);
+  ClosedLoopConfig config;
+  config.slots = 12;
+  config.queries.queries_per_slot = 64;
+  config.queries.aggregates_per_slot = 8;
+  config.serving.scheduler = GreedyEngine::kSieve;
+  config.serving.threads = 4;
+  ExpectPinnedDigest(setup, config, kPinnedPooledSieveDigest);
 }
 
 }  // namespace

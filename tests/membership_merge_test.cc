@@ -1,7 +1,7 @@
-// The sorted membership merge (engine/membership_merge.h) against a naive
-// rebuild: the serial merge and the pool-parallel run copy at several
-// pool sizes must produce the same members, .index fields, slot_pos map
-// and slab columns, bit for bit.
+// The in-place sorted membership merge (engine/membership_merge.h)
+// against a naive rebuild: the serial merge and the pooled run moves at
+// several pool sizes must produce the same members, .index fields,
+// slot_pos map and slab columns, bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -18,18 +18,16 @@
 namespace psens {
 namespace {
 
-/// Large enough that a merge copying most of the registry takes the
+/// Large enough that a merge moving most of the registry takes the
 /// pooled path.
 constexpr int kRegistry = 4 * static_cast<int>(merge_detail::kMinParallelCopyRows);
 
-/// One member array with its slot_pos map and slabs, plus merge scratch.
-struct Membership {
-  std::vector<SlotSensor> members;
-  std::vector<SlotSensor> scratch;
-  std::vector<int> slot_pos = std::vector<int>(kRegistry, -1);
-  SlotSlabs slabs;
-  SlotSlabs slab_scratch;
-};
+/// A member array with its slot_pos map and slabs, as the engine keeps it.
+SlotContext EmptyMembership() {
+  SlotContext m;
+  m.slot_pos.assign(kRegistry, -1);
+  return m;
+}
 
 /// A batch of sorted, disjoint membership events stamped with the
 /// generation that fills the inserted payloads (set by Script).
@@ -48,11 +46,11 @@ void FillPayload(SlotSensor& ss, int id, int generation) {
   ss.trust = 1.0 - generation * 1e-4;
 }
 
-void MergeInPlace(Membership* m, const Batch& b, ThreadPool* pool) {
+void Merge(SlotContext* m, const Batch& b, ThreadPool* pool) {
   MergeSortedMembership(
-      &m->members, &m->scratch, &m->slot_pos, b.inserts, b.removes,
+      m, b.inserts, b.removes,
       [&](SlotSensor& ss, int id) { FillPayload(ss, id, b.generation); },
-      &m->slabs, &m->slab_scratch, pool, [] {});
+      pool, [] {});
 }
 
 /// The naive reference: the ascending member list rebuilt from scratch,
@@ -65,22 +63,22 @@ class NaiveMembership {
   }
   bool IsMember(int id) const { return born_[static_cast<size_t>(id)] >= 0; }
 
-  Membership Build() const {
-    Membership m;
+  SlotContext Build() const {
+    SlotContext m;
     for (int id = 0; id < kRegistry; ++id) {
       const int gen = born_[static_cast<size_t>(id)];
       if (gen < 0) continue;
       SlotSensor ss;
-      ss.index = static_cast<int>(m.members.size());
+      ss.index = static_cast<int>(m.sensors.size());
       ss.sensor_id = id;
       FillPayload(ss, id, gen);
-      m.slot_pos[static_cast<size_t>(id)] = ss.index;
-      m.members.push_back(ss);
+      m.sensors.push_back(ss);
     }
-    m.slabs.Resize(m.members.size());
-    for (const SlotSensor& ss : m.members) {
+    m.slabs.Resize(m.sensors.size());
+    for (const SlotSensor& ss : m.sensors) {
       m.slabs.SetRow(static_cast<size_t>(ss.index), ss);
     }
+    MapSlotIds(m, kRegistry);
     return m;
   }
 
@@ -94,11 +92,11 @@ bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
-void ExpectSame(const Membership& want, const Membership& got) {
-  ASSERT_EQ(want.members.size(), got.members.size());
-  for (size_t k = 0; k < want.members.size(); ++k) {
-    const SlotSensor& a = want.members[k];
-    const SlotSensor& b = got.members[k];
+void ExpectSame(const SlotContext& want, const SlotContext& got) {
+  ASSERT_EQ(want.sensors.size(), got.sensors.size());
+  for (size_t k = 0; k < want.sensors.size(); ++k) {
+    const SlotSensor& a = want.sensors[k];
+    const SlotSensor& b = got.sensors[k];
     ASSERT_EQ(a.index, b.index) << "row " << k;
     ASSERT_EQ(a.sensor_id, b.sensor_id) << "row " << k;
     ASSERT_EQ(a.location.x, b.location.x) << "row " << k;
@@ -172,15 +170,33 @@ std::vector<Batch> Script(uint64_t seed) {
   }
   push(RandomBatch(naive, 0.6, 0.0, rng));  // cold build again
   push(RandomBatch(naive, 0.01, 0.02, rng));
+  // Shifts larger than a chunk: every insert lies below every remove, so
+  // the rows between them shift right by thousands; then the mirror
+  // image, a long left shift.
+  const int band = kRegistry / 5;
+  const auto shift_batch = [&](int insert_lo, int remove_lo) {
+    Batch b;
+    for (int id = insert_lo; id < insert_lo + band; ++id) {
+      if (!naive.IsMember(id)) b.inserts.push_back(id);
+    }
+    for (int id = remove_lo; id < remove_lo + band; ++id) {
+      if (naive.IsMember(id)) b.removes.push_back(id);
+    }
+    return b;
+  };
+  push(shift_batch(0, kRegistry - band));
+  push(shift_batch(kRegistry - band, 0));
+  push(RandomBatch(naive, 0.3, 0.01, rng));   // growth
+  push(RandomBatch(naive, 0.01, 0.3, rng));   // shrink
   return batches;
 }
 
 TEST(MembershipMergeTest, SerialMergeMatchesNaiveRebuild) {
   NaiveMembership naive;
-  Membership merged;
+  SlotContext merged = EmptyMembership();
   for (const Batch& b : Script(11)) {
     naive.Apply(b);
-    MergeInPlace(&merged, b, nullptr);
+    Merge(&merged, b, nullptr);
     ExpectSame(naive.Build(), merged);
   }
 }
@@ -190,13 +206,13 @@ TEST(MembershipMergeTest, PooledMergeMatchesSerialForEveryPoolSize) {
   for (int threads : {2, 4, 8}) {
     SCOPED_TRACE(threads);
     ThreadPool pool(threads);
-    Membership serial;
-    Membership pooled;
+    SlotContext serial = EmptyMembership();
+    SlotContext pooled = EmptyMembership();
     NaiveMembership naive;
     for (const Batch& b : script) {
       naive.Apply(b);
-      MergeInPlace(&serial, b, nullptr);
-      MergeInPlace(&pooled, b, &pool);
+      Merge(&serial, b, nullptr);
+      Merge(&pooled, b, &pool);
       ExpectSame(serial, pooled);
       ExpectSame(naive.Build(), pooled);
     }
@@ -204,26 +220,25 @@ TEST(MembershipMergeTest, PooledMergeMatchesSerialForEveryPoolSize) {
 }
 
 // `fill` runs on the calling thread in ascending id order, and `overlap`
-// exactly once per merge, whether the copy is pooled, serial, or absent
-// (a merge with nothing to copy).
+// exactly once per merge, whether the moves are pooled, serial, or absent
+// (a merge with nothing to move).
 TEST(MembershipMergeTest, FillAndOverlapRunOnTheCallingThread) {
   const std::vector<Batch> script = Script(14);
   ThreadPool pool(4);
   const std::thread::id caller = std::this_thread::get_id();
   for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    Membership merged;
+    SlotContext merged = EmptyMembership();
     for (const Batch& b : script) {
       int calls = 0;
       std::vector<int> filled;
       MergeSortedMembership(
-          &merged.members, &merged.scratch, &merged.slot_pos, b.inserts,
-          b.removes,
+          &merged, b.inserts, b.removes,
           [&](SlotSensor& ss, int id) {
             EXPECT_EQ(std::this_thread::get_id(), caller);
             filled.push_back(id);
             FillPayload(ss, id, b.generation);
           },
-          &merged.slabs, &merged.slab_scratch, p, [&] {
+          p, [&] {
             EXPECT_EQ(std::this_thread::get_id(), caller);
             ++calls;
           });
@@ -233,31 +248,29 @@ TEST(MembershipMergeTest, FillAndOverlapRunOnTheCallingThread) {
   }
 }
 
-// An overlap that throws must not unwind while pooled copy tasks still
+// An overlap that throws must not unwind while pooled move tasks still
 // read the merge's state (under ASan, a missing wait shows as a
-// heap-use-after-free of the run list); the pool stays usable and the
-// next merge is exact.
-TEST(MembershipMergeTest, ThrowingOverlapWaitsForPooledCopy) {
+// heap-use-after-free of the run list or the snapshot); the pool stays
+// usable and the next merge is exact.
+TEST(MembershipMergeTest, ThrowingOverlapWaitsForPooledMoves) {
   const std::vector<Batch> script = Script(15);
   ThreadPool pool(4);
-  Membership merged;
+  SlotContext merged = EmptyMembership();
   NaiveMembership naive;
   naive.Apply(script[0]);
-  MergeInPlace(&merged, script[0], nullptr);
-  Membership copy = merged;
+  Merge(&merged, script[0], nullptr);
+  SlotContext copy = merged;
+  Rng rng(16);
+  const Batch churn = RandomBatch(naive, 0.05, 0.05, rng);  // pooled moves
   EXPECT_THROW(
       MergeSortedMembership(
-          &copy.members, &copy.scratch, &copy.slot_pos, script[1].inserts,
-          script[1].removes,
-          [&](SlotSensor& ss, int id) {
-            FillPayload(ss, id, script[1].generation);
-          },
-          &copy.slabs, &copy.slab_scratch, &pool,
-          [] { throw std::runtime_error("overlap failed"); }),
+          &copy, churn.inserts, churn.removes,
+          [&](SlotSensor& ss, int id) { FillPayload(ss, id, 99); },
+          &pool, [] { throw std::runtime_error("overlap failed"); }),
       std::runtime_error);
   for (size_t k = 1; k < script.size(); ++k) {
     naive.Apply(script[k]);
-    MergeInPlace(&merged, script[k], &pool);
+    Merge(&merged, script[k], &pool);
     ExpectSame(naive.Build(), merged);
   }
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace psens {
 namespace {
 
@@ -56,6 +58,37 @@ TEST(BuildSlotContextTest, IndicesAreDense) {
   EXPECT_EQ(slot.sensors[0].index, 0);
   EXPECT_EQ(slot.sensors[1].index, 1);
   EXPECT_EQ(slot.sensors[1].sensor_id, 1);
+}
+
+TEST(BuildSlotContextTest, MapsEveryRegistryId) {
+  const SlotContext slot =
+      BuildSlotContext(ThreeSensors(), Rect{0, 0, 10, 10}, 0, 5.0);
+  EXPECT_EQ(slot.slot_pos, (std::vector<int>{0, -1, -1}));
+}
+
+// SlotIndexOf answers from the id -> slot map when the context has one
+// and from a binary search of the members otherwise; both agree for
+// members, non-members, negative ids and ids past the map.
+TEST(SlotIndexOfTest, MapLookupMatchesSortedSearch) {
+  SlotContext searched;
+  for (int id : {0, 3, 4, 9, 17}) {
+    SlotSensor s;
+    s.index = static_cast<int>(searched.sensors.size());
+    s.sensor_id = id;
+    searched.sensors.push_back(s);
+  }
+  SlotContext mapped = searched;
+  MapSlotIds(mapped, 20);
+  ASSERT_EQ(mapped.slot_pos.size(), 20u);
+  ASSERT_TRUE(searched.slot_pos.empty());
+  for (int id = -2; id < 25; ++id) {
+    int want = -1;
+    for (const SlotSensor& s : searched.sensors) {
+      if (s.sensor_id == id) want = s.index;
+    }
+    EXPECT_EQ(searched.SlotIndexOf(id), want) << "id " << id;
+    EXPECT_EQ(mapped.SlotIndexOf(id), want) << "id " << id;
+  }
 }
 
 TEST(SlotQualityTest, MatchesReadingQuality) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -26,11 +27,29 @@
 namespace psens {
 namespace {
 
-/// Field-exact SlotContext equality (announcements, order, index
-/// presence). The index *structures* may differ internally — exactness of
-/// their result sets is pinned by spatial_index_test — but indexed-ness
-/// must agree so schedulers take identical code paths.
+/// The id -> slot map is present (so SlotIndexOf never falls back to a
+/// search) and agrees with the member array: every member maps to its
+/// row, and every other id to -1.
+void ExpectMapMatchesMembers(const SlotContext& slot, int t) {
+  ASSERT_FALSE(slot.slot_pos.empty()) << "slot " << t;
+  size_t mapped = 0;
+  for (int pos : slot.slot_pos) mapped += pos >= 0 ? 1 : 0;
+  ASSERT_EQ(mapped, slot.sensors.size()) << "slot " << t;
+  for (const SlotSensor& s : slot.sensors) {
+    ASSERT_EQ(slot.slot_pos[static_cast<size_t>(s.sensor_id)], s.index)
+        << "slot " << t << " sensor " << s.sensor_id;
+    ASSERT_EQ(slot.SlotIndexOf(s.sensor_id), s.index);
+  }
+}
+
+/// Field-exact SlotContext equality (announcements, order, id -> slot
+/// map, index presence). The index *structures* may differ internally —
+/// exactness of their result sets is pinned by spatial_index_test — but
+/// indexed-ness must agree so schedulers take identical code paths.
 void ExpectSameContext(const SlotContext& a, const SlotContext& b, int slot) {
+  ExpectMapMatchesMembers(a, slot);
+  ExpectMapMatchesMembers(b, slot);
+  ASSERT_EQ(a.slot_pos, b.slot_pos) << "slot " << slot;
   ASSERT_EQ(a.time, b.time) << "slot " << slot;
   ASSERT_EQ(a.dmax, b.dmax) << "slot " << slot;
   ASSERT_EQ(a.sensors.size(), b.sensors.size()) << "slot " << slot;
@@ -552,6 +571,9 @@ TEST(StreamingEquivalenceTest, PooledTurnoverMatchesSerialAboveCopyThreshold) {
       Rng probe_rng(500 + static_cast<uint64_t>(t));
       ExpectIndexMatchesScan(slot, setup.field, probe_rng, t);
       ExpectSameContext(*reference, slot, t);
+      ExpectSameContext(
+          BuildSlotContext(engine.sensors(), setup.field, t, setup.dmax), slot,
+          t);
       runs.push_back(RunJointSelection(slot, query_area, GreedyEngine::kLazy,
                                        900 + static_cast<uint64_t>(t),
                                        /*num_aggregates=*/2));
@@ -647,6 +669,20 @@ TEST(ServingConfigTest, ValidateRejectsBrokenConfigs) {
   EXPECT_FALSE(ServingConfig().WithDmax(0.0).Validate().empty());
   EXPECT_FALSE(
       ServingConfig().WithRegion(Rect{10, 0, 0, 10}).Validate().empty());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(ServingConfig().WithDmax(inf).Validate().empty());
+  EXPECT_FALSE(ServingConfig().WithDmax(nan).Validate().empty());
+  EXPECT_FALSE(
+      ServingConfig().WithRegion(Rect{nan, 0, 10, 10}).Validate().empty());
+  EXPECT_FALSE(
+      ServingConfig().WithRegion(Rect{0, nan, 10, 10}).Validate().empty());
+  EXPECT_FALSE(
+      ServingConfig().WithRegion(Rect{0, 0, inf, 10}).Validate().empty());
+  EXPECT_FALSE(
+      ServingConfig().WithRegion(Rect{-inf, 0, 10, 10}).Validate().empty());
+  EXPECT_FALSE(
+      ServingConfig().WithRegion(Rect{0, 0, 10, inf}).Validate().empty());
   EXPECT_FALSE(ServingConfig().WithThreads(-1).Validate().empty());
   EXPECT_FALSE(ServingConfig().WithEpsilon(0.0).Validate().empty());
 }

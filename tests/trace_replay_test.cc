@@ -276,11 +276,16 @@ TEST(TraceReplayTest, InvalidHeaderConfigIsAnErrorNotAnAbort) {
   const ChurnScenarioSetup setup = MakeSetup();
   const std::string path = TracePath("replay_bad_header.trc");
   const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
   const std::vector<std::pair<const char*, std::function<void(TraceHeader&)>>>
       cases = {
           {"negative dmax", [](TraceHeader& h) { h.dmax = -1.0; }},
           {"zero dmax", [](TraceHeader& h) { h.dmax = 0.0; }},
           {"NaN dmax", [&](TraceHeader& h) { h.dmax = nan; }},
+          {"infinite dmax", [&](TraceHeader& h) { h.dmax = inf; }},
+          {"NaN region", [&](TraceHeader& h) { h.working_region.x_min = nan; }},
+          {"infinite region",
+           [&](TraceHeader& h) { h.working_region.y_max = inf; }},
           {"inverted region",
            [](TraceHeader& h) {
              std::swap(h.working_region.x_min, h.working_region.x_max);
