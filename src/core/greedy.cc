@@ -8,7 +8,6 @@
 #include "core/candidate_pruning.h"
 #include "core/lazy_greedy.h"
 #include "core/sieve_streaming.h"
-#include "core/stochastic_greedy.h"
 
 namespace psens {
 
@@ -111,8 +110,6 @@ SelectionResult GreedySensorSelection(const std::vector<MultiQuery*>& queries,
   switch (engine) {
     case GreedyEngine::kEager:
       return EagerGreedySensorSelection(queries, slot, cost_scale);
-    case GreedyEngine::kStochastic:
-      return StochasticGreedySensorSelection(queries, slot, cost_scale);
     case GreedyEngine::kSieve:
       return SieveStreamingSensorSelection(queries, slot, cost_scale);
     case GreedyEngine::kLazy:

@@ -34,18 +34,13 @@ enum class GreedyEngine {
   /// round. Kept as the reference implementation for tests and for the
   /// valuation-call comparisons in bench_scheduler_quality.
   kEager,
-  /// Stochastic greedy (src/core/stochastic_greedy.h): each round evaluates
-  /// only a seeded random sample of the remaining candidates instead of all
-  /// of them, trading the exact engines' bit-identical selections for a
-  /// (1 - 1/e - epsilon) expected-utility guarantee on monotone submodular
-  /// instances and per-slot cost independent of how many candidates each
-  /// round *could* probe. Reproducible: the sample stream derives from
-  /// SlotContext::approx (seed, time), not from global state.
-  kStochastic,
   /// Sieve streaming (src/core/sieve_streaming.h): threshold-bucketed
-  /// single-pass selection. Deterministic; the bucket state can also be
-  /// carried across slots by SieveStreamingScheduler so churn deltas are
-  /// absorbed without re-streaming the whole population.
+  /// single-pass selection plus a capped refinement pass, the one
+  /// approximate engine. Reproducible: its exploration sample derives
+  /// from SlotContext::approx (seed, time), not from global state. The
+  /// bucket state can also be carried across slots by
+  /// SieveStreamingScheduler so churn deltas are absorbed without
+  /// re-streaming the whole population.
   kSieve,
 };
 
@@ -75,7 +70,7 @@ int64_t TotalValuationCalls(const std::vector<MultiQuery*>& queries);
 /// Algorithm 1 line 10: commits `sensor` to every benefiting query,
 /// splitting its *true* announced cost proportionally to the positive
 /// marginal values (pi_{q,a} = delta_v * c_a / sum delta_v). Returns the
-/// cost charged. Every engine — eager, lazy, stochastic, sieve — funnels
+/// cost charged. Every engine — eager, lazy, sieve — funnels
 /// its commits through this one implementation, so the Theorem 1 payment
 /// properties and cross-engine payment equivalence rest on a single body
 /// of code.

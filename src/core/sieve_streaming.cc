@@ -9,7 +9,6 @@
 #include "core/batch_eval.h"
 #include "core/candidate_pruning.h"
 #include "core/sensor_delta.h"
-#include "core/stochastic_greedy.h"
 
 namespace psens {
 namespace {
@@ -207,7 +206,7 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
   // net0 sweep, so the bench costs no extra valuations; entries whose
   // sensor left the slot are dropped (a returning sensor re-enters via
   // the arrival/move stream).
-  if (slot.approx.sieve_refine) {
+  {
     // Offered slot indices ascend, and so do their sensor ids.
     std::vector<sieve_detail::BenchEntry> fresh;
     fresh.reserve(offered.size());
@@ -287,22 +286,21 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
   double winner_value = 0.0;
   for (const MultiQuery* q : queries) winner_value += q->CurrentValue();
 
-  // Refinement pass (ApproxParams::sieve_refine): the winner's single
-  // pass both misses late value (a high threshold rejected a sensor
-  // whose marginal is large against the final selection) and
-  // over-commits (the mean-quality factor of the aggregate valuation is
-  // non-submodular, so accept-any-positive dilutes). An add-only pass
-  // on top of the winner cannot fix the second failure, so the
-  // refinement runs CELF-style greedy rounds FROM SCRATCH over a
-  // population-independent pool — the buckets' members plus the bench
-  // of top singleton-net candidates — and keeps whichever selection,
-  // winner replay or refined, realizes the higher utility. Realized
-  // utility climbs from the single-pass ~0.5x of exact to >= 0.8x at
-  // >= 20x speedup (the fig13 gate floors).
+  // Refinement pass: the winner's single pass both misses late value
+  // (a high threshold rejected a sensor whose marginal is large against
+  // the final selection) and over-commits (the mean-quality factor of
+  // the aggregate valuation is non-submodular, so accept-any-positive
+  // dilutes). An add-only pass on top of the winner cannot fix the
+  // second failure, so the refinement runs CELF-style greedy rounds
+  // FROM SCRATCH over a population-independent pool — the buckets'
+  // members plus the bench of top singleton-net candidates — and keeps
+  // whichever selection, winner replay or refined, realizes the higher
+  // utility. Realized utility climbs from the single-pass ~0.5x of
+  // exact to >= 0.8x at >= 20x speedup (the fig13 gate floors).
   bool use_refined = false;
   std::vector<int> refined_sel;
   double refined_cost = 0.0;
-  if (slot.approx.sieve_refine && best_bucket >= 0) {
+  if (best_bucket >= 0) {
     std::vector<int> pool;
     for (const Bucket& bucket : buckets_) {
       for (int gid : bucket.members) {
@@ -316,8 +314,7 @@ SelectionResult SieveStreamingScheduler::SelectArrivals(
     }
     {
       // Exploration sample (see kRefineSampleSize). Seeded from the
-      // slot seed the engine stamps (pinned on replay), xor-shifted so
-      // the stream is independent of stochastic greedy's — the sample,
+      // slot seed the engine stamps (pinned on replay), so the sample,
       // and hence the whole refinement, is bit-reproducible.
       const std::span<const int> scan = plan.ScanSensors();
       const size_t sample = std::min(kRefineSampleSize, scan.size());

@@ -49,10 +49,9 @@ void MergeRefineBench(std::vector<BenchEntry>* bench,
 /// bucket, and streams candidates once per bucket in announcement order:
 /// a sensor joins bucket j iff its net marginal against the bucket's
 /// current selection is at least tau_j. The best bucket by realized
-/// utility is committed with Algorithm 1's proportional payments, then
-/// (ApproxParams::sieve_refine, default on) a refinement pass runs
-/// CELF-style greedy rounds from scratch over a population-independent
-/// candidate pool — the union of all buckets' members, a persistent
+/// utility is committed with Algorithm 1's proportional payments, then a
+/// refinement pass runs CELF-style greedy rounds from scratch over a
+/// population-independent candidate pool — the union of all buckets' members, a persistent
 /// "bench" of the best singleton-net candidates ever streamed (capped
 /// at kRefineBenchSize), and a per-slot seeded exploration sample of
 /// the candidate scan (kRefineSampleSize) — and keeps whichever
@@ -78,8 +77,10 @@ void MergeRefineBench(std::vector<BenchEntry>* bench,
 ///     O(buckets * (members + arrivals)), independent of the population,
 ///     where every exact engine pays at least one full candidate sweep.
 ///
-/// Deterministic: no RNG anywhere; identical inputs (slot context bits,
-/// delta stream) produce identical selections on any thread count.
+/// Deterministic: the only randomness is the exploration sample, drawn
+/// from ApproxSlotSeed(slot.approx, slot.time); identical inputs (slot
+/// context bits including the stamped seed, delta stream) produce
+/// identical selections on any thread count.
 class SieveStreamingScheduler {
  public:
   explicit SieveStreamingScheduler(const ApproxParams& params = {});
@@ -109,8 +110,7 @@ class SieveStreamingScheduler {
   bool initialized() const { return initialized_; }
   /// Global sensor ids of the last Select* call's committed selection:
   /// the winning bucket's members in acceptance order, followed by any
-  /// refinement-pass picks (ApproxParams::sieve_refine) in commit order.
-  /// Empty before the first call.
+  /// refinement-pass picks in commit order. Empty before the first call.
   const std::vector<int>& winner_members() const { return winner_members_; }
   int num_buckets() const { return static_cast<int>(buckets_.size()); }
 
@@ -133,11 +133,10 @@ class SieveStreamingScheduler {
   bool initialized_ = false;
   std::vector<Bucket> buckets_;  // descending tau; floor bucket last
   std::vector<int> winner_members_;
-  /// Refinement bench (ApproxParams::sieve_refine): the top streamed
-  /// candidates by singleton net, (net, global id) in (net desc, id asc)
-  /// order, capped — sensors no bucket accepted but whose singleton net
-  /// says they belong in refinement contention. Maintained only when
-  /// refinement is on.
+  /// Refinement bench: the top streamed candidates by singleton net,
+  /// (net, global id) in (net desc, id asc) order, capped — sensors no
+  /// bucket accepted but whose singleton net says they belong in
+  /// refinement contention.
   std::vector<sieve_detail::BenchEntry> bench_;
 };
 

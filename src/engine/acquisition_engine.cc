@@ -10,7 +10,6 @@
 
 #include "common/radix_sort.h"
 #include "core/sieve_streaming.h"
-#include "core/stochastic_greedy.h"
 #include "engine/adaptive_policy.h"
 #include "engine/membership_merge.h"
 #include "engine/serving_engine.h"
@@ -77,8 +76,6 @@ AcquisitionEngine::AcquisitionEngine(std::vector<Sensor> sensors,
     header.working_region = config_.working_region;
     header.approx_seed = config_.approx.seed;
     header.epsilon = config_.approx.epsilon;
-    header.min_sample = config_.approx.min_sample;
-    header.sample_hint = config_.approx.sample_hint;
     trace_ = TraceWriter::Open(config_.trace_path, header);
   }
   if (!config_.incremental) return;
@@ -288,7 +285,7 @@ const SlotContext& AcquisitionEngine::BeginSlot(int time) {
   ctx_.time = time;
   ctx_.arena = &arena_;
   ctx_.pool = pool_.get();
-  // Pin the approximate schedulers' per-slot stream: both engine modes
+  // Pin the approximate scheduler's per-slot stream: both engine modes
   // stamp the identical derived seed, so approximate selections agree
   // between incremental and rebuild serving bit for bit.
   ctx_.approx = config_.approx;

@@ -99,7 +99,7 @@ class AcquisitionEngine {
   /// Pins the approx slot seed the *next* BeginSlot stamps, overriding
   /// the (approx.seed, time) derivation for that one slot. The trace
   /// replayer uses this to impose each recorded slot's seed, which is
-  /// what lets a replayed stochastic run reproduce the live run's
+  /// what lets a replayed sieve run reproduce the live run's
   /// selections without knowing the original base seed.
   void PinNextSlotSeed(uint64_t slot_seed);
 

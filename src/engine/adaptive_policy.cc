@@ -3,32 +3,6 @@
 #include <algorithm>
 
 namespace psens {
-namespace {
-
-// Quality ladder from a given ceiling, best first. Lazy and eager are
-// quality-identical, so neither appears below the other — a ceiling of
-// either steps straight to stochastic.
-int Ladder(GreedyEngine ceiling, GreedyEngine out[4]) {
-  int n = 0;
-  switch (ceiling) {
-    case GreedyEngine::kLazy:
-    case GreedyEngine::kEager:
-      out[n++] = ceiling;
-      out[n++] = GreedyEngine::kStochastic;
-      out[n++] = GreedyEngine::kSieve;
-      break;
-    case GreedyEngine::kStochastic:
-      out[n++] = GreedyEngine::kStochastic;
-      out[n++] = GreedyEngine::kSieve;
-      break;
-    case GreedyEngine::kSieve:
-      out[n++] = GreedyEngine::kSieve;
-      break;
-  }
-  return n;
-}
-
-}  // namespace
 
 AdaptivePolicy::AdaptivePolicy(double slo_ms, GreedyEngine ceiling)
     : slo_ms_(slo_ms), ceiling_(ceiling) {}
@@ -46,20 +20,18 @@ double AdaptivePolicy::WorkUnits(GreedyEngine engine,
 
 GreedyEngine AdaptivePolicy::Choose(const SlotFeatures& features,
                                     double turnover_ms) const {
-  GreedyEngine ladder[4];
-  const int n = Ladder(ceiling_, ladder);
+  // Lazy and eager are quality-identical, so neither appears below the
+  // other: either ceiling steps straight to the sieve, the floor.
+  if (ceiling_ == GreedyEngine::kSieve) return GreedyEngine::kSieve;
   const double budget = std::max(0.0, slo_ms_ - turnover_ms);
-  for (int i = 0; i < n; ++i) {
-    const GreedyEngine e = ladder[i];
-    // Optimistic first trial: an engine with no coefficient yet runs once
-    // so the model learns it; mispredicting "free" forever would pin the
-    // policy at the ceiling.
-    if (!observed(e)) return e;
-    if (PredictMs(e, features) <= kSafety * budget) return e;
-  }
-  // Nothing fits: run the floor anyway. The SLO degrades quality, it
-  // never skips a slot.
-  return ladder[n - 1];
+  // Optimistic first trial: an engine with no coefficient yet runs once
+  // so the model learns it; mispredicting "free" forever would pin the
+  // policy at the ceiling.
+  if (!observed(ceiling_)) return ceiling_;
+  if (PredictMs(ceiling_, features) <= kSafety * budget) return ceiling_;
+  // The ceiling does not fit: run the floor, whether or not its own
+  // prediction fits. The SLO degrades quality, it never skips a slot.
+  return GreedyEngine::kSieve;
 }
 
 void AdaptivePolicy::Observe(GreedyEngine engine, const SlotFeatures& features,

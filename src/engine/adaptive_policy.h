@@ -18,18 +18,20 @@ namespace psens {
 /// a single observation at one slot size extrapolates to other sizes and
 /// the model tracks drift (thermal, contention) through the EWMA.
 ///
-/// Choose walks the quality ladder downward from the configured ceiling
+/// Choose walks the two-rung quality ladder downward from the configured
+/// ceiling
 ///
-///   lazy/eager -> stochastic -> sieve
+///   lazy/eager -> sieve
 ///
-/// and returns the first engine whose predicted cost fits inside a
-/// safety-factored share of the remaining budget (slo_ms - turnover_ms).
-/// An engine with no observations yet is chosen optimistically the first
-/// time it is reached — one trial seeds its coefficient. When nothing
-/// fits, the ladder's floor (the sieve) runs anyway: the SLO degrades
+/// and returns the ceiling when its predicted cost fits inside a
+/// safety-factored share of the remaining budget (slo_ms - turnover_ms),
+/// the sieve otherwise; a sieve ceiling stays on the sieve. An engine
+/// with no observations yet is chosen optimistically the first time it
+/// is reached — one trial seeds its coefficient. The sieve is the floor
+/// and runs even when its own prediction does not fit: the SLO degrades
 /// quality, never correctness. Recovery is symmetric — when a spike
-/// passes, the predicted cost of higher-quality engines falls back under
-/// budget and Choose climbs the ladder again.
+/// passes, the ceiling's predicted cost falls back under budget and
+/// Choose climbs back to it.
 ///
 /// Determinism: Choose is a pure function of (features, turnover, the
 /// observation history). Live runs feed wall-clock observations, so live
@@ -66,8 +68,8 @@ class AdaptivePolicy {
   double slo_ms() const { return slo_ms_; }
   GreedyEngine ceiling() const { return ceiling_; }
 
-  /// The feature->work mapping per engine: full-sweep engines (eager,
-  /// lazy, stochastic) scale with members x queries; the sieve's delta
+  /// The feature->work mapping per engine: the full-sweep engines (eager,
+  /// lazy) scale with members x queries; the sieve's delta
   /// path scales with (churn + 1) x queries, independent of population.
   static double WorkUnits(GreedyEngine engine, const SlotFeatures& features);
 
@@ -78,12 +80,12 @@ class AdaptivePolicy {
   static constexpr double kAlpha = 0.4;
 
  private:
-  static constexpr int kNumEngines = 4;
+  static constexpr int kNumEngines = 3;
 
   double slo_ms_;
   GreedyEngine ceiling_;
-  double ms_per_unit_[kNumEngines] = {0.0, 0.0, 0.0, 0.0};
-  bool seen_[kNumEngines] = {false, false, false, false};
+  double ms_per_unit_[kNumEngines] = {0.0, 0.0, 0.0};
+  bool seen_[kNumEngines] = {false, false, false};
 };
 
 }  // namespace psens

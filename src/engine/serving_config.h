@@ -50,9 +50,9 @@ struct ServingConfig {
   int threads = 1;
   /// Approximate-scheduler knobs, stamped onto every slot context.
   /// BeginSlot derives the per-slot RNG stream from (approx.seed, time)
-  /// unless approx.slot_seed pins it, so an approximate selection re-run
-  /// for the same slot — incremental or rebuild mode, any thread count —
-  /// is reproducible (core/stochastic_greedy.h).
+  /// unless approx.slot_seed pins it, so a sieve selection re-run for the
+  /// same slot — incremental or rebuild mode, any thread count — draws
+  /// the same exploration sample (ApproxSlotSeed in core/slot.h).
   ApproxParams approx;
   /// When non-empty, the serving engine records its input stream — every
   /// ApplyDelta/ApplyTrace change and every BeginSlot with its stamped
@@ -65,11 +65,13 @@ struct ServingConfig {
   bool record_readings = true;
   /// Per-slot latency budget in milliseconds for the adaptive scheduler
   /// (src/engine/adaptive_policy.h). 0 (default): static scheduling —
-  /// `scheduler` runs every slot exactly as configured. > 0: ServingEngine::Select consults an AdaptivePolicy
-  /// each slot, treating `scheduler` as the quality *ceiling* and
-  /// degrading down the ladder (lazy -> stochastic -> sieve) when the
-  /// policy's per-engine cost model predicts the ceiling would blow the
-  /// remaining budget (slo_ms minus the slot's measured turnover time).
+  /// `scheduler` runs every slot exactly as configured. > 0:
+  /// ServingEngine::Select consults an AdaptivePolicy each slot, treating
+  /// `scheduler` as the quality *ceiling* and stepping down the two-rung
+  /// ladder (lazy/eager -> sieve) when the policy's per-engine cost model
+  /// predicts the ceiling would blow the remaining budget (slo_ms minus
+  /// the slot's measured turnover time). A sieve ceiling stays on the
+  /// sieve.
   /// Chosen engines are recorded per slot in version-2 traces, so an
   /// adaptive run — whose live choices depend on wall-clock observations —
   /// still replays bit-identically (the replayer pins the recorded

@@ -81,8 +81,8 @@ struct AggregateExperimentConfig {
   /// Same contract as PointExperimentConfig::parallelism.
   int parallelism = 0;
   /// The serving stack for the Algorithm 1 selection: `scheduler` picks
-  /// the engine (kStochastic / kSieve run the approximate schedulers,
-  /// configured by `serving.approx`), `index_policy` the slot index
+  /// the engine (kSieve runs the approximate scheduler, configured by
+  /// `serving.approx`), `index_policy` the slot index
   /// (same contract as PointExperimentConfig::index_policy), `threads`
   /// the *intra-slot* parallel-selection workers (each greedy round's
   /// valuation batch is sharded inside the slot; composes with

@@ -1,6 +1,7 @@
 #include "trace/trace_format.h"
 
 #include <cstring>
+#include <iterator>
 
 namespace psens {
 namespace {
@@ -146,6 +147,19 @@ constexpr size_t kPriceChangeBytes = 4 + 8;
 constexpr size_t kPointQueryBytes = 4 + 8 + 8 + 8 + 8 + 4;
 constexpr size_t kAggregateBytes = 4 + 4 * 8 + 8 + 8 + 8;
 
+// The header's reserved i32 pair (formerly the stochastic engine's
+// min_sample and sample_hint) keeps the values every existing trace
+// carries, so recorded bytes and the golden fixture stay unchanged.
+constexpr int32_t kReservedHeaderI32[2] = {32, 0};
+
+// Wire codes of the v2 engine-choice field, indexed by GreedyEngine.
+// Code 2 named the retired stochastic-greedy engine; the sieve keeps
+// code 3, so traces recorded before the retirement decode unchanged.
+constexpr int32_t kEngineWireCodes[] = {0, 1, 3};
+constexpr int32_t kRetiredStochasticWireCode = 2;
+static_assert(std::size(kEngineWireCodes) ==
+              static_cast<size_t>(GreedyEngine::kSieve) + 1);
+
 }  // namespace
 
 uint64_t RegistryChecksum(const std::vector<Sensor>& sensors) {
@@ -185,8 +199,8 @@ void EncodeHeader(const TraceHeader& header, std::string* out) {
   PutF64(header.working_region.y_max, out);
   PutU64(header.approx_seed, out);
   PutF64(header.epsilon, out);
-  PutI32(header.min_sample, out);
-  PutI32(header.sample_hint, out);
+  PutI32(kReservedHeaderI32[0], out);
+  PutI32(kReservedHeaderI32[1], out);
 }
 
 bool DecodeHeader(const char* data, size_t size, uint64_t file_size,
@@ -201,6 +215,7 @@ bool DecodeHeader(const char* data, size_t size, uint64_t file_size,
   }
   Cursor c(data + sizeof(kTraceMagic), size - sizeof(kTraceMagic));
   uint32_t header_bytes = 0;
+  int32_t reserved[2] = {0, 0};  // read past, never interpreted
   if (!c.GetU32(&header->version) || !c.GetU32(&header_bytes) ||
       !c.GetU32(&header->registry_count) || !c.GetU32(&header->slot_count) ||
       !c.GetU64(&header->registry_checksum) || !c.GetF64(&header->dmax) ||
@@ -209,7 +224,7 @@ bool DecodeHeader(const char* data, size_t size, uint64_t file_size,
       !c.GetF64(&header->working_region.x_max) ||
       !c.GetF64(&header->working_region.y_max) ||
       !c.GetU64(&header->approx_seed) || !c.GetF64(&header->epsilon) ||
-      !c.GetI32(&header->min_sample) || !c.GetI32(&header->sample_hint)) {
+      !c.GetI32(&reserved[0]) || !c.GetI32(&reserved[1])) {
     *error = "trace truncated: header fields incomplete";
     return false;
   }
@@ -290,7 +305,7 @@ void EncodeSlotRecord(const TraceSlotRecord& record, std::string* out,
   if (version >= kTraceVersionAdaptive) {
     PutU32(record.engine_choice.has_value() ? 1u : 0u, out);
     if (record.engine_choice.has_value()) {
-      PutI32(static_cast<int32_t>(*record.engine_choice), out);
+      PutI32(kEngineWireCodes[static_cast<int>(*record.engine_choice)], out);
     }
   }
 }
@@ -411,13 +426,21 @@ bool DecodeSlotRecord(const char* data, size_t size, const TraceHeader& header,
     if (n == 1) {
       int32_t raw = 0;
       c.GetI32(&raw);
-      if (raw < static_cast<int32_t>(GreedyEngine::kLazy) ||
-          raw > static_cast<int32_t>(GreedyEngine::kSieve)) {
+      for (size_t e = 0; e < std::size(kEngineWireCodes); ++e) {
+        if (raw == kEngineWireCodes[e]) {
+          record->engine_choice = static_cast<GreedyEngine>(e);
+        }
+      }
+      if (raw == kRetiredStochasticWireCode) {
+        *error = "unsupported slot record: engine choice 2 is the retired "
+                 "stochastic-greedy engine, which this build cannot replay";
+        return false;
+      }
+      if (!record->engine_choice.has_value()) {
         *error = "corrupt slot record: engine choice " + std::to_string(raw) +
                  " out of range";
         return false;
       }
-      record->engine_choice = static_cast<GreedyEngine>(raw);
     }
   }
   if (!c.AtEnd()) {

@@ -31,15 +31,16 @@ namespace psens {
 ///   header   magic "PSENSTRC" | u32 version | u32 header_bytes |
 ///            u32 registry_count | u32 slot_count | u64 registry_checksum |
 ///            f64 dmax | f64 region{x_min,y_min,x_max,y_max} |
-///            u64 approx_seed | f64 epsilon | i32 min_sample |
-///            i32 sample_hint
+///            u64 approx_seed | f64 epsilon | i32 reserved (32) |
+///            i32 reserved (0)
 ///   slot     u32 payload_bytes | u32 slot_magic | i32 time |
 ///            u64 slot_seed |
 ///            u32 n + entries for: arrivals, departures, moves,
 ///            price_changes, point queries, aggregate queries
 ///            [version >= 2] u32 n (0 or 1) + i32 engine: the slot's
 ///            adaptive engine choice (n = 0 on slots where Select
-///            never ran)
+///            never ran); lazy 0, eager 1, sieve 3 — code 2 was the
+///            retired stochastic-greedy engine and is rejected
 ///
 /// Version 2 (kTraceVersionAdaptive) appends the per-slot engine-choice
 /// section so an adaptively scheduled run (ServingConfig::slo_ms) can be
@@ -76,8 +77,9 @@ struct TraceHeader {
   /// *effective* per-slot seed is recorded on every slot record instead).
   uint64_t approx_seed = 0;
   double epsilon = 0.1;
-  int32_t min_sample = 32;
-  int32_t sample_hint = 0;
+  // The header's last 8 bytes are a reserved i32 pair (formerly the
+  // stochastic engine's min_sample/sample_hint): written as 32 and 0,
+  // read and ignored.
 };
 
 /// Decoded per-slot record: the full input side of one engine slot.
@@ -85,8 +87,8 @@ struct TraceSlotRecord {
   int32_t time = 0;
   /// The ApproxSlotSeed the recording engine stamped onto the slot
   /// context. Replay pins it (AcquisitionEngine::PinNextSlotSeed), so a
-  /// stochastic run reproduces even when the replaying config carries a
-  /// different base seed.
+  /// sieve run's exploration sample reproduces even when the replaying
+  /// config carries a different base seed.
   uint64_t slot_seed = 0;
   SensorDelta delta;
   std::vector<PointQuery> point_queries;

@@ -111,8 +111,6 @@ ReplayResult TraceReplayer::Replay(const TraceFile& trace,
   scfg.working_region = header.working_region;
   scfg.dmax = header.dmax;
   scfg.approx.epsilon = header.epsilon;
-  scfg.approx.min_sample = header.min_sample;
-  scfg.approx.sample_hint = header.sample_hint;
   if (!config_.override_approx_seed) scfg.approx.seed = header.approx_seed;
   // The header's values are untrusted input and MakeServingEngine aborts
   // on an invalid config, so a corrupt header is refused here instead.

@@ -28,8 +28,8 @@ struct ReplayConfig {
   bool pin_slot_seeds = true;
   /// Serving stack for the replaying engine (scheduler, threads,
   /// incremental mode, readings feedback). The working
-  /// region, dmax, and the approx epsilon/min_sample/sample_hint always
-  /// come from the trace header; the base approx seed does too unless
+  /// region, dmax, and the approx epsilon always come from the trace
+  /// header; the base approx seed does too unless
   /// override_approx_seed imposes serving.approx.seed instead (see
   /// pin_slot_seeds).
   ServingConfig serving;

@@ -65,8 +65,6 @@ TraceData MakeGoldenData() {
   data.header.working_region = Rect{0.0, 0.0, 40.0, 40.0};
   data.header.approx_seed = 0x5EEDC0DE5EEDC0DEull;
   data.header.epsilon = 0.1;
-  data.header.min_sample = 32;
-  data.header.sample_hint = 0;
 
   TraceSlotRecord s0;
   s0.time = 0;
@@ -429,6 +427,59 @@ TEST(TraceFormatStandaloneTest, EngineChoiceCountIsZeroOrOne) {
   EXPECT_FALSE(
       DecodeSlotRecord(bytes.data(), bytes.size(), v2, &decoded, &error));
   EXPECT_NE(error.find("2 engine choices"), std::string::npos) << error;
+}
+
+TEST(TraceFormatStandaloneTest, EngineChoiceWireCodes) {
+  // Lazy 0, eager 1, sieve 3 round-trip: the codes every recorded v2
+  // trace carries. Code 2 named the retired stochastic-greedy engine and
+  // is refused by name, never misread as another engine; any other code
+  // is out of range. A one-choice record ends "u32 count=1 | i32 engine".
+  TraceHeader v2;
+  v2.version = kTraceVersionAdaptive;
+  const auto with_code = [](int32_t code) {
+    TraceSlotRecord record;
+    record.engine_choice = GreedyEngine::kLazy;
+    std::string bytes;
+    EncodeSlotRecord(record, &bytes, kTraceVersionAdaptive);
+    bytes.resize(bytes.size() - 4);
+    AppendU32LE(static_cast<uint32_t>(code), &bytes);
+    return bytes;
+  };
+  const std::pair<GreedyEngine, int32_t> valid[] = {
+      {GreedyEngine::kLazy, 0}, {GreedyEngine::kEager, 1},
+      {GreedyEngine::kSieve, 3}};
+  for (const auto& [engine, code] : valid) {
+    SCOPED_TRACE(code);
+    TraceSlotRecord record;
+    record.engine_choice = engine;
+    std::string bytes;
+    EncodeSlotRecord(record, &bytes, kTraceVersionAdaptive);
+    EXPECT_EQ(bytes, with_code(code));
+    TraceSlotRecord decoded;
+    std::string error;
+    ASSERT_TRUE(
+        DecodeSlotRecord(bytes.data(), bytes.size(), v2, &decoded, &error))
+        << error;
+    EXPECT_EQ(decoded.engine_choice, engine);
+  }
+  const std::pair<int32_t, std::string> refused[] = {
+      {2, "engine choice 2 is the retired stochastic-greedy engine"},
+      {-1, "engine choice -1 out of range"},
+      {4, "engine choice 4 out of range"},
+      {255, "engine choice 255 out of range"},
+      {std::numeric_limits<int32_t>::min(),
+       "engine choice -2147483648 out of range"},
+      {std::numeric_limits<int32_t>::max(),
+       "engine choice 2147483647 out of range"}};
+  for (const auto& [code, message] : refused) {
+    SCOPED_TRACE(code);
+    const std::string bytes = with_code(code);
+    TraceSlotRecord decoded;
+    std::string error;
+    EXPECT_FALSE(
+        DecodeSlotRecord(bytes.data(), bytes.size(), v2, &decoded, &error));
+    EXPECT_NE(error.find(message), std::string::npos) << error;
+  }
 }
 
 TEST(TraceFormatStandaloneTest, MissingFileIsACleanError) {

@@ -2,9 +2,9 @@
 // exist): a live closed-loop churn run records itself, the replayer
 // re-drives the trace through a fresh engine, and every schedule,
 // payment, and valuation-call count must match bit for bit — for all
-// four selection engines, for any replayer decode-thread count, and for
-// a stochastic replay whose base seed differs from the recorded run's
-// (the per-slot seeds persisted in the trace carry reproduction). Hostile
+// three selection engines, for any replayer decode-thread count, and for
+// a sieve replay whose base seed differs from the recorded run's (the
+// per-slot seeds persisted in the trace carry reproduction). Hostile
 // traces — delta ids outside the registry, header values no engine
 // accepts — must come back as replay errors, never as a write past the
 // registry or an abort (the sanitizer CI jobs run this file).
@@ -31,14 +31,14 @@ constexpr int kSensors = 400;
 constexpr int kSlots = 20;
 constexpr uint64_t kSeed = 20260807;
 
-ChurnScenarioSetup MakeSetup() {
+ChurnScenarioSetup MakeSetup(int sensors = kSensors) {
   // Energy + privacy feedback on, so RecordSlotReadings actually changes
   // later slots' announcements and the replayed feedback path is load-
   // bearing, not a no-op.
   SensorPopulationConfig profile;
   profile.linear_energy = true;
   profile.random_privacy = true;
-  return MakeChurnScenario(kSensors, /*churn_fraction=*/0.05, kSeed,
+  return MakeChurnScenario(sensors, /*churn_fraction=*/0.05, kSeed,
                            /*with_mobility=*/true, profile);
 }
 
@@ -105,7 +105,6 @@ INSTANTIATE_TEST_SUITE_P(
     AllEngines, TraceReplayEngineTest,
     testing::Values(EngineCase{"exact", GreedyEngine::kEager},
                     EngineCase{"lazy", GreedyEngine::kLazy},
-                    EngineCase{"stochastic", GreedyEngine::kStochastic},
                     EngineCase{"sieve", GreedyEngine::kSieve}),
     [](const testing::TestParamInfo<EngineCase>& info) {
       return info.param.name;
@@ -132,21 +131,23 @@ TEST(TraceReplayTest, DecodeThreadCountDoesNotChangeOutcomes) {
   std::remove(path.c_str());
 }
 
-// The ApproxSlotSeed persistence regression (the satellite fix): every
-// slot record carries the seed the recording engine stamped, and the
-// replayer pins it, so a stochastic replay reproduces the live
-// selections even when the replaying config's base seed is different.
-// With pinning disabled the mismatched base seed must actually show —
-// otherwise this test would pass vacuously on a workload too small for
-// sampling to matter.
-TEST(TraceReplayTest, StochasticReplayReproducesAcrossBaseSeeds) {
-  const ChurnScenarioSetup setup = MakeSetup();
+// The ApproxSlotSeed persistence regression: every slot record carries
+// the seed the recording engine stamped, and the replayer pins it, so a
+// sieve replay — whose refinement draws a seeded exploration sample of
+// the candidates — reproduces the live selections even when the
+// replaying config's base seed is different. With pinning disabled the
+// mismatched base seed must actually show — otherwise this test would
+// pass vacuously. So the population must exceed the sieve's exploration
+// sample (1536 candidates): at the shared 400-sensor setup the sample
+// covers every candidate whatever the seed, and no seed can matter.
+TEST(TraceReplayTest, SieveReplayReproducesAcrossBaseSeeds) {
+  const ChurnScenarioSetup setup = MakeSetup(/*sensors=*/6000);
   const std::string path = TracePath("replay_seed.trc");
   const ClosedLoopResult live =
-      RunChurnClosedLoop(setup, MakeLoopConfig(GreedyEngine::kStochastic, path));
+      RunChurnClosedLoop(setup, MakeLoopConfig(GreedyEngine::kSieve, path));
 
   ReplayConfig pinned_cfg;
-  pinned_cfg.serving.scheduler = GreedyEngine::kStochastic;
+  pinned_cfg.serving.scheduler = GreedyEngine::kSieve;
   pinned_cfg.override_approx_seed = true;
   pinned_cfg.serving.approx.seed = kSeed ^ 0xDEADBEEF;
   pinned_cfg.pin_slot_seeds = true;
